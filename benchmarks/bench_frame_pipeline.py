@@ -1,8 +1,7 @@
 """S17/S22 — kernel backends on the frame pipeline, two operating points.
 
 Runs the full KinectFusion pipeline under every registered kernel
-backend (reference, fast, sparse, and jit when numba is installed) at
-two operating points:
+backend (reference, fast and sparse) at two operating points:
 
 * **64x48** — the paper's low-power resolution (the mobile campaign
   sweeps it), full-frame compute, ``integration_rate=1``.

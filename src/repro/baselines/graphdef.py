@@ -5,9 +5,9 @@ frame-to-frame reference update — registered as graph stages over the
 same contract vocabulary as KinectFusion's graph
 (:mod:`repro.kfusion.graphdef`), so the pyramid contracts are shared and
 a tap attached to ``preprocess.vertices`` means the same thing in both
-pipelines.  The bodies run the identical reference-kernel calls, in the
-same order, with the same workload accounting as the legacy call
-sequence in :mod:`repro.baselines.odometry`.
+pipelines.  The bodies run the reference kernels and record their
+workload; :class:`repro.baselines.odometry.ICPOdometry` holds the
+cross-frame state they read and write.
 """
 
 from __future__ import annotations

@@ -7,10 +7,8 @@ It is much faster and much less accurate (odometry drift accumulates
 without a global model) — the cross-algorithm experiment shows exactly
 that trade-off.
 
-Like :class:`~repro.kfusion.pipeline.KinectFusion`, the default
-execution path is the compiled stage graph
-(:mod:`repro.baselines.graphdef`); ``pipeline="legacy"`` keeps the
-historic inline call sequence for the differential harness.
+Like :class:`~repro.kfusion.pipeline.KinectFusion`, every frame runs
+through the compiled stage graph (:mod:`repro.baselines.graphdef`).
 """
 
 from __future__ import annotations
@@ -24,16 +22,9 @@ from ..core.outputs import OutputKind, TrackingStatus
 from ..core.sensors import SensorSuite
 from ..core.workload import FrameWorkload
 from ..errors import ConfigurationError
-from ..geometry import PinholeCamera, se3
+from ..geometry import PinholeCamera
 from ..graph import StageContext, compile_graph
-from ..kfusion import kernels
-from ..kfusion.preprocessing import (
-    bilateral_filter,
-    build_pyramid,
-    downsample_depth,
-    vertex_normal_pyramid,
-)
-from ..kfusion.tracking import ReferenceModel, TrackResult, track
+from ..kfusion.tracking import ReferenceModel, TrackResult
 from .graphdef import odometry_graph
 
 
@@ -42,15 +33,8 @@ class ICPOdometry(SLAMSystem):
 
     name = "icp_odometry"
 
-    def __init__(self, pipeline: str = "graph", taps: tuple = ()):
+    def __init__(self, taps: tuple = ()):
         super().__init__()
-        if pipeline not in ("graph", "legacy"):
-            raise ConfigurationError(
-                f"unknown pipeline {pipeline!r}; choices: ('graph', 'legacy')"
-            )
-        if taps and pipeline != "graph":
-            raise ConfigurationError("stream taps require the graph pipeline")
-        self._pipeline = pipeline
         self._taps = tuple(taps)
         self._instance = None
         self._camera: PinholeCamera | None = None
@@ -58,11 +42,6 @@ class ICPOdometry(SLAMSystem):
         self._pose = np.eye(4)
         self._reference: ReferenceModel | None = None
         self._status = TrackingStatus.BOOTSTRAP
-
-    @property
-    def pipeline(self) -> str:
-        """Execution path: ``"graph"`` or ``"legacy"``."""
-        return self._pipeline
 
     def parameter_specs(self) -> list[ParameterSpec]:
         return [
@@ -103,100 +82,23 @@ class ICPOdometry(SLAMSystem):
             ) from exc
         self._pose = np.eye(4)
         self._reference = None
-        if self._pipeline == "graph":
-            spec = odometry_graph()
-            if self._taps:
-                from ..graph import TapSpec
-
-                spec = spec.with_taps([
-                    tap if isinstance(tap, TapSpec)
-                    else TapSpec(node=tap[0], port=tap[1])
-                    for tap in self._taps
-                ])
-            self._instance = compile_graph(spec)
+        spec = odometry_graph()
+        if self._taps:
+            spec = spec.with_taps(self._taps)
+        self._instance = compile_graph(spec)
         self.outputs.declare("pose", OutputKind.POSE)
         self.outputs.declare("tracking_status", OutputKind.TRACKING_STATUS)
 
     def do_process(self, frame: Frame, workload: FrameWorkload) -> TrackingStatus:
         assert self.configuration is not None
         assert self._camera is not None and self._input_camera is not None
-        if self._pipeline == "graph":
-            ctx = StageContext(
-                frame=frame,
-                workload=workload,
-                state=self,
-                params=self.configuration,
-            )
-            self._instance.run_frame(ctx)
-            return self._status
-        return self._process_legacy(frame, workload)
-
-    def _process_legacy(self, frame: Frame,
-                        workload: FrameWorkload) -> TrackingStatus:
-        """The historic inline call sequence, kept verbatim (see
-        ``repro graph diff``)."""
-        cam = self._camera
-        cfg = self.configuration
-
-        workload.add(kernels.acquire(self._input_camera.pixel_count))
-        depth = downsample_depth(frame.depth, cfg["compute_size_ratio"])
-        workload.add(
-            kernels.downsample(self._input_camera.pixel_count, cam.pixel_count)
+        ctx = StageContext(
+            frame=frame,
+            workload=workload,
+            state=self,
+            params=self.configuration,
         )
-        depth = bilateral_filter(depth)
-        workload.add(kernels.bilateral_filter(cam.pixel_count))
-
-        pyramid = build_pyramid(depth, 3)
-        for level in range(1, len(pyramid)):
-            workload.add(kernels.half_sample(pyramid[level].size))
-        vertices, normals, _ = vertex_normal_pyramid(pyramid, cam)
-        for level_depth in pyramid:
-            workload.add(kernels.depth_to_vertex(level_depth.size))
-            workload.add(kernels.vertex_to_normal(level_depth.size))
-
-        if self._reference is None:
-            self._status = TrackingStatus.BOOTSTRAP
-        else:
-            iters = (
-                cfg["pyramid_iterations_l0"],
-                cfg["pyramid_iterations_l1"],
-                cfg["pyramid_iterations_l2"],
-            )[: len(vertices)]
-            result = track(
-                vertices,
-                normals,
-                self._reference,
-                self._pose,
-                iters,
-                cfg["icp_threshold"],
-            )
-            for level, used in enumerate(result.iterations_per_level):
-                lpx = vertices[level].shape[0] * vertices[level].shape[1]
-                for _ in range(used):
-                    workload.add(kernels.track_iteration(lpx))
-                    workload.add(kernels.reduce_iteration(lpx))
-                    workload.add(kernels.solve())
-            if result.tracked:
-                self._pose = result.pose
-                self._status = TrackingStatus.OK
-            else:
-                self._status = TrackingStatus.LOST
-
-        # The new reference is this frame's (finest) maps in the world frame.
-        h, w = cam.shape
-        flat_v = vertices[0].reshape(-1, 3)
-        flat_n = normals[0].reshape(-1, 3)
-        valid = np.any(flat_n != 0.0, axis=-1)
-        v_w = np.zeros_like(flat_v)
-        n_w = np.zeros_like(flat_n)
-        v_w[valid] = se3.transform_points(self._pose, flat_v[valid])
-        n_w[valid] = flat_n[valid] @ self._pose[:3, :3].T
-        self._reference = ReferenceModel(
-            vertices=v_w.reshape(h, w, 3),
-            normals=n_w.reshape(h, w, 3),
-            camera=cam,
-            pose_volume_from_camera=self._pose.copy(),
-        )
+        self._instance.run_frame(ctx)
         return self._status
 
     # -- graph-stage state access (repro.baselines.graphdef) ------------------

@@ -12,8 +12,7 @@ Subcommands:
   exits 0 when clean, 1 on findings, 2 on an internal analyzer error.
 * ``graph``    — stage-graph tooling (``repro.graph``): ``check``
   compiles every registered graph definition (same 0/1/2 exit contract
-  as ``lint``), ``show`` prints a graph's schedule and edges, ``diff``
-  runs the legacy-vs-graph differential harness on a dataset.
+  as ``lint``), ``show`` prints a graph's schedule and edges.
 * ``arch``     — architecture policy tooling (``ARCHITECTURE.toml``):
   ``show`` the layer diagram, ``check`` rules RPR008-010, ``graph``
   the call graph as JSON/DOT, ``effects``/``snapshot``/``diff`` the
@@ -30,8 +29,8 @@ telemetry trace of the run: ``.jsonl`` writes the raw event log,
 
 ``run`` also accepts ``--kernel-backend`` for kfusion: the float32
 workspace kernels (``fast``, default), the float64 textbook kernels
-(``reference``), the voxel-block TSDF (``sparse``), and — when numba
-is installed — the compiled ``jit`` backend (``repro.perf``).
+(``reference``) and the voxel-block TSDF (``sparse``); see
+``repro.perf``.
 
 Examples::
 
@@ -91,8 +90,6 @@ def _cmd_run(args) -> int:
     factory_kwargs = {}
     if args.kernel_backend is not None:
         factory_kwargs["kernel_backend"] = args.kernel_backend
-    if args.pipeline is not None:
-        factory_kwargs["pipeline"] = args.pipeline
     system = create_algorithm(args.algorithm, **factory_kwargs)
     config = dict(args.set or [])
     tracer = Tracer(enabled=bool(args.trace))
@@ -349,25 +346,6 @@ def _cmd_graph_show(args) -> int:
     return 0
 
 
-def _cmd_graph_diff(args) -> int:
-    from .graph.diffrun import diff_pipelines, make_diff_system
-
-    register_defaults()
-    sequence = create_dataset(args.dataset, n_frames=args.frames,
-                              width=args.width, height=args.height,
-                              seed=args.seed)
-    backend = args.kernel_backend or "fast"
-    report = diff_pipelines(
-        make_diff_system(args.algorithm, backend=backend),
-        sequence,
-        configuration=dict(args.set or []),
-        algorithm=args.algorithm,
-        backend=backend,
-    )
-    print(report.summary())
-    return 0 if report.equivalent else 1
-
-
 def _collect_registered_graphs():
     """Materialize every registered graph definition for the verifier.
 
@@ -536,10 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, choices=kernel_backend_names(),
                        help="kernel implementation set for kfusion "
                             "(default: fast; see repro.perf)")
-    p_run.add_argument("--pipeline", default=None,
-                       choices=("graph", "legacy"),
-                       help="execution path: compiled stage graph "
-                            "(default) or the legacy call sequence")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--set", metavar="NAME=VALUE", action="append",
                        type=_parse_override,
@@ -732,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_races.set_defaults(paths=[])
 
     p_graph = sub.add_parser(
-        "graph", help="stage-graph pipelines: check, show, diff"
+        "graph", help="stage-graph pipelines: check, show"
     )
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
     p_g_check = graph_sub.add_parser(
@@ -748,24 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_g_show.add_argument("graph", help="registered graph name "
                                         "(e.g. kfusion)")
     p_g_show.set_defaults(func=_cmd_graph_show)
-    p_g_diff = graph_sub.add_parser(
-        "diff", help="differential run: legacy vs graph pipeline "
-                     "(exit 1 on divergence)")
-    p_g_diff.add_argument("--algorithm", default="kfusion",
-                          choices=("kfusion", "icp_odometry"))
-    p_g_diff.add_argument("--dataset", default="lr_kt0",
-                          choices=dataset_names())
-    p_g_diff.add_argument("--frames", type=int, default=10)
-    p_g_diff.add_argument("--width", type=int, default=80)
-    p_g_diff.add_argument("--height", type=int, default=60)
-    p_g_diff.add_argument("--seed", type=int, default=0)
-    p_g_diff.add_argument("--kernel-backend", dest="kernel_backend",
-                          default=None, choices=kernel_backend_names(),
-                          help="kernel backend both pipelines run")
-    p_g_diff.add_argument("--set", metavar="NAME=VALUE", action="append",
-                          type=_parse_override,
-                          help="override an algorithm parameter")
-    p_g_diff.set_defaults(func=_cmd_graph_diff)
 
     p_lint = sub.add_parser(
         "lint", help="repo-specific static analysis (rules RPR001-RPR010 "

@@ -13,9 +13,7 @@ a common stage API:
   arena planning, effect-budget checks against ``ARCHITECTURE.toml``;
 * :mod:`~repro.graph.instance` — the compiled, executable pipeline;
 * :mod:`~repro.graph.taps` — stream-tap samplers (intermediate frames
-  -> telemetry spans);
-* :mod:`~repro.graph.diffrun` — the differential harness proving a
-  graph pipeline equivalent to its legacy call sequence frame-by-frame.
+  -> telemetry spans).
 
 ``KinectFusion`` and the baselines are thin graph definitions over this
 runtime (``repro.kfusion.graphdef``, ``repro.baselines.graphdef``);

@@ -6,9 +6,9 @@ compile-time workspace plan, and the attached stream taps.  Per frame it
 
 * threads one :class:`~repro.graph.stage.StageContext` through every
   scheduled stage,
-* times each stage exactly as the legacy pipeline did — one
-  :class:`repro.telemetry.stage` block per node feeding both the frame
-  workload's wall times and a backend-stamped tracer span,
+* times each stage with one :class:`repro.telemetry.stage` block per
+  node, feeding both the frame workload's wall times and a
+  backend-stamped tracer span,
 * routes produced port values to downstream consumers,
 * fires stream taps (sampled telemetry spans) on tapped outputs, and
 * converts any exception a stage body raises into

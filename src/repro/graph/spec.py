@@ -123,8 +123,12 @@ class GraphSpec:
         return replace(self, taps=self.taps + (tap,))
 
     def with_taps(self, taps) -> "GraphSpec":
-        """A copy of this spec with ``taps`` (TapSpec iterable) appended."""
-        return replace(self, taps=self.taps + tuple(taps))
+        """A copy of this spec with ``taps`` appended; each tap is a
+        :class:`TapSpec` or a ``(node, port)`` tuple."""
+        return replace(self, taps=self.taps + tuple(
+            tap if isinstance(tap, TapSpec) else TapSpec(*tap)
+            for tap in taps
+        ))
 
     def node_names(self) -> list[str]:
         return [name for name, _ in self.nodes]

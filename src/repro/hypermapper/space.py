@@ -134,18 +134,16 @@ class DesignSpace:
         return configs
 
 
-#: Always-registered kernel backends exposed as a design-space dimension.
+#: Registered kernel backends exposed as a design-space dimension.
 #: Static literal so RPR004 can cross-check it against the registry's
-#: ``KernelBackend`` declarations without importing anything; the
-#: optional "jit" backend is exploration-eligible only where numba is
-#: installed, so it is deliberately not part of the static space.
+#: ``KernelBackend`` declarations without importing anything.
 KERNEL_BACKEND_CHOICES = ("fast", "reference", "sparse")
 
 
 def kfusion_design_space(kernel_backend: bool = False) -> DesignSpace:
     """The paper's algorithmic design space (KinectFusion parameters).
 
-    With ``kernel_backend=True`` the registry's always-available kernel
+    With ``kernel_backend=True`` the registry's kernel
     implementations join the space as a categorical dimension, so the
     sparsity/precision axis is explored alongside the algorithmic knobs
     (``repro dse`` opts in; golden DSE fixtures keep the smaller space).

@@ -3,9 +3,9 @@
 This module is the graph-pipeline face of :mod:`repro.kfusion.pipeline`:
 each of the five phases (preprocess, track, integrate, raycast, render)
 is a registered :class:`~repro.graph.StageSpec` whose body runs the
-*same* kernel-backend calls, in the same order, with the same workload
-accounting as the legacy call sequence — the differential harness
-(:mod:`repro.graph.diffrun`) proves the two bit-for-bit equivalent.
+kernel-backend calls for that phase and records their workload.  The
+golden tables in ``tests/test_golden_run.py`` pin the compiled graph's
+accuracy and status sequence on every backend.
 
 Stage bodies read the pipeline's cross-frame state (pose, TSDF volume,
 raycast reference, tracking status) through ``ctx.state`` — the
@@ -239,10 +239,10 @@ RENDER = register_stage(StageSpec(
     inputs=(
         Port("volume", TSDF_VOLUME),
         # The model input carries no pixels the shader needs; it pins
-        # the render after the raycast, matching the legacy sequence.
+        # the render after the raycast.
         Port("model", REFERENCE_MODEL),
     ),
-    workload_timed=False,  # tracer-only span, like the legacy GUI render
+    workload_timed=False,  # tracer-only span, not a canonical stage
     description="optional shaded model render (the GUI's right panel)",
 ))
 

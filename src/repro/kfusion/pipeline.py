@@ -12,13 +12,11 @@ KFusion port does:
    frame while tracking is good, plus the first frames).
 4. *Raycast*: render the surface prediction used by the next track step.
 
-Since the stage-graph refactor the phases are *registered stages*
-(:mod:`repro.kfusion.graphdef`) and the default execution path is a
-compiled :class:`~repro.graph.PipelineInstance` — the declarative graph
-the runtime compiler validated and arena-planned at init.  The historic
-inline call sequence is kept verbatim as ``pipeline="legacy"``; the
-differential harness (:mod:`repro.graph.diffrun`) proves both paths
-bit-for-bit equivalent on every stream, for both kernel backends.
+The phases are *registered stages* (:mod:`repro.kfusion.graphdef`) and
+every frame runs through a compiled :class:`~repro.graph.PipelineInstance`
+— the declarative graph the runtime compiler validated and arena-planned
+at init.  The golden tables in ``tests/test_golden_run.py`` pin its
+accuracy and status sequence on every kernel backend.
 
 Every kernel launch is recorded in the frame's workload with its analytic
 cost (``repro.kfusion.kernels``), which the platform simulator converts to
@@ -38,27 +36,15 @@ from ..core.workload import FrameWorkload
 from ..errors import ConfigurationError, DatasetError
 from ..geometry import PinholeCamera, se3
 from ..graph import StageContext, WorkspaceRequest, compile_graph
-from ..telemetry import current_tracer, stage
-from . import kernels
+from ..telemetry import current_tracer
 from .graphdef import kfusion_graph
-from .params import (
-    BOOTSTRAP_FRAMES,
-    PYRAMID_LEVELS,
-    KFusionParams,
-    parameter_specs,
-)
-from .preprocessing import downsample_depth
-from .render import render_volume
+from .params import PYRAMID_LEVELS, KFusionParams, parameter_specs
 from .tracking import ReferenceModel, TrackResult
 from .volume import TSDFVolume
 
 #: SLAMBench's default camera start: centred in x/y, at the volume's front
 #: face, looking along +z into the volume.
 INITIAL_POSE_FACTOR = (0.5, 0.5, 0.0)
-
-#: Execution paths: the compiled stage graph (default) vs the historic
-#: inline call sequence the differential harness compares against.
-PIPELINES = ("graph", "legacy")
 
 
 class KinectFusion(SLAMSystem):
@@ -76,17 +62,11 @@ class KinectFusion(SLAMSystem):
             the five hot per-frame kernels — ``"fast"`` (float32
             workspace kernels, the default), ``"reference"`` (the
             float64 textbook kernels), ``"sparse"`` (voxel-block volume
-            with band-restricted integrate and space-skipping raycast)
-            or ``"jit"`` (numba-compiled inner loops, registered only
-            when numba is installed).  See :mod:`repro.perf`.
-        pipeline: execution path — ``"graph"`` (the compiled stage
-            graph, default) or ``"legacy"`` (the historic inline call
-            sequence).  Proven equivalent by ``repro graph diff`` and
-            ``tests/test_graph_equivalence.py``.
+            with band-restricted integrate and space-skipping raycast).
+            See :mod:`repro.perf`.
         taps: :class:`~repro.graph.TapSpec` stream taps (or
             ``(node, port)`` tuples) attached to the compiled graph —
-            sampled intermediate frames become telemetry spans.  Graph
-            pipeline only.
+            sampled intermediate frames become telemetry spans.
     """
 
     name = "kfusion"
@@ -97,22 +77,12 @@ class KinectFusion(SLAMSystem):
     def __init__(self, publish_render: bool = False,
                  robust_tracking: bool = False,
                  kernel_backend: str | None = None,
-                 pipeline: str = "graph",
                  taps: tuple = ()):
         super().__init__()
         from ..perf import DEFAULT_KERNEL_BACKEND, get_kernel_backend
 
-        if pipeline not in PIPELINES:
-            raise ConfigurationError(
-                f"unknown pipeline {pipeline!r}; choices: {PIPELINES}"
-            )
-        if taps and pipeline != "graph":
-            raise ConfigurationError(
-                "stream taps require the graph pipeline"
-            )
         self._publish_render = publish_render
         self._robust_tracking = robust_tracking
-        self._pipeline = pipeline
         self._taps = tuple(taps)
         # Resolve eagerly so an unknown name fails at construction.
         self._backend = get_kernel_backend(
@@ -134,11 +104,6 @@ class KinectFusion(SLAMSystem):
     def kernel_backend(self) -> str:
         """Name of the kernel backend this system runs."""
         return self._backend.name
-
-    @property
-    def pipeline(self) -> str:
-        """Execution path: ``"graph"`` or ``"legacy"``."""
-        return self._pipeline
 
     @property
     def instance(self):
@@ -170,7 +135,7 @@ class KinectFusion(SLAMSystem):
             )
 
         # The backend picks the map representation: dense grid for
-        # reference/fast/jit, lazily allocated voxel blocks for sparse.
+        # reference/fast, lazily allocated voxel blocks for sparse.
         self.volume = self._backend.make_volume(
             resolution=self.params.volume_resolution,
             size=self.params.volume_size,
@@ -179,24 +144,23 @@ class KinectFusion(SLAMSystem):
         self._workspace = self._backend.make_workspace(
             self._input_camera, self.params, PYRAMID_LEVELS
         )
-        if self._pipeline == "graph":
-            spec = kfusion_graph(publish_render=self._publish_render)
-            if self._taps:
-                spec = spec.with_taps(self._coerce_taps())
-            # Compile-time arena plan: the graph's summed stage needs
-            # must fit the workspace budget before the first frame runs.
-            request = budget = None
-            if self._workspace is not None:
-                request = WorkspaceRequest(
-                    params=self.params,
-                    camera=self._input_camera,
-                    levels=PYRAMID_LEVELS,
-                    backend=self._backend.name,
-                )
-                budget = self._workspace.budget_bytes
-            self._instance = compile_graph(
-                spec, workspace_request=request, arena_budget=budget
+        spec = kfusion_graph(publish_render=self._publish_render)
+        if self._taps:
+            spec = spec.with_taps(self._taps)
+        # Compile-time arena plan: the graph's summed stage needs must
+        # fit the workspace budget before the first frame runs.
+        request = budget = None
+        if self._workspace is not None:
+            request = WorkspaceRequest(
+                params=self.params,
+                camera=self._input_camera,
+                levels=PYRAMID_LEVELS,
+                backend=self._backend.name,
             )
+            budget = self._workspace.budget_bytes
+        self._instance = compile_graph(
+            spec, workspace_request=request, arena_budget=budget
+        )
         self._pose = se3.make_pose(
             np.eye(3),
             np.array(INITIAL_POSE_FACTOR) * self.params.volume_size,
@@ -212,18 +176,6 @@ class KinectFusion(SLAMSystem):
             self.outputs.declare("model_render", OutputKind.FRAME)
         self._last_render = None
 
-    def _coerce_taps(self):
-        from ..graph import TapSpec
-
-        taps = []
-        for tap in self._taps:
-            if isinstance(tap, TapSpec):
-                taps.append(tap)
-            else:
-                node, port = tap
-                taps.append(TapSpec(node=node, port=port))
-        return taps
-
     def do_process(self, frame: Frame, workload: FrameWorkload) -> TrackingStatus:
         assert self.params is not None and self.volume is not None
         assert self._camera is not None and self._input_camera is not None
@@ -233,147 +185,15 @@ class KinectFusion(SLAMSystem):
                 f"frame shape {frame.depth.shape} != sensor "
                 f"{self._input_camera.shape}"
             )
-        if self._pipeline == "graph":
-            ctx = StageContext(
-                frame=frame,
-                workload=workload,
-                state=self,
-                backend=self._backend,
-                workspace=self._workspace,
-                params=self.params,
-            )
-            self._instance.run_frame(ctx)
-            return self._status
-        return self._process_legacy(frame, workload)
-
-    def _process_legacy(self, frame: Frame,
-                        workload: FrameWorkload) -> TrackingStatus:
-        """The historic inline call sequence, kept verbatim.
-
-        The differential harness (``repro graph diff``) runs this path
-        against the compiled graph frame-by-frame; it must stay the
-        independent reference implementation, so changes here or in
-        :mod:`repro.kfusion.graphdef` must land in both.
-        """
-        params = self.params
-        cam = self._camera
-
-        backend = self._backend
-        ws = self._workspace
-
-        # 1. Preprocessing -------------------------------------------------
-        with stage(workload, "preprocess", frame=frame.index,
-                   backend=backend.name):
-            workload.add(kernels.acquire(self._input_camera.pixel_count))
-            depth = downsample_depth(frame.depth, params.compute_size_ratio)
-            workload.add(
-                kernels.downsample(self._input_camera.pixel_count,
-                                   cam.pixel_count)
-            )
-            depth = backend.bilateral_filter(depth, ws)
-            workload.add(kernels.bilateral_filter(cam.pixel_count))
-
-            pyramid = backend.build_pyramid(depth, PYRAMID_LEVELS, ws)
-            for level in range(1, len(pyramid)):
-                workload.add(kernels.half_sample(pyramid[level].size))
-            vertices, normals, _cams = backend.vertex_normal_pyramid(
-                pyramid, cam, ws
-            )
-            for level_depth in pyramid:
-                workload.add(kernels.depth_to_vertex(level_depth.size))
-                workload.add(kernels.vertex_to_normal(level_depth.size))
-
-        # 2. Tracking --------------------------------------------------------
-        with stage(workload, "track", frame=frame.index,
-                   backend=backend.name):
-            first_frame = self.frames_processed == 0
-            should_track = (
-                not first_frame
-                and frame.index % params.tracking_rate == 0
-                and self._reference is not None
-            )
-            tracked = first_frame  # frame 0 counts as tracked at the start pose
-            if should_track:
-                iters = params.pyramid_iterations[: len(vertices)]
-                result = backend.track(
-                    vertices,
-                    normals,
-                    self._reference,
-                    self._pose,
-                    iters,
-                    params.icp_threshold,
-                    ws,
-                    huber_delta=(self.HUBER_DELTA_M
-                                 if self._robust_tracking else None),
-                )
-                for level, used in enumerate(result.iterations_per_level):
-                    level_pixels = (vertices[level].shape[0]
-                                    * vertices[level].shape[1])
-                    for _ in range(used):
-                        workload.add(kernels.track_iteration(level_pixels))
-                        workload.add(kernels.reduce_iteration(level_pixels))
-                        workload.add(kernels.solve())
-                self._last_track_rmse = result.rmse
-                if result.tracked:
-                    self._pose = result.pose
-                    tracked = True
-                    self._status = TrackingStatus.OK
-                else:
-                    self._status = TrackingStatus.LOST
-            elif not first_frame:
-                self._status = TrackingStatus.SKIPPED
-            else:
-                self._status = TrackingStatus.BOOTSTRAP
-
-        # 3. Integration -----------------------------------------------------
-        with stage(workload, "integrate", frame=frame.index,
-                   backend=backend.name):
-            should_integrate = (
-                tracked or self.frames_processed < BOOTSTRAP_FRAMES
-            ) and (frame.index % params.integration_rate == 0 or first_frame)
-            if should_integrate:
-                backend.integrate(
-                    self.volume,
-                    depth,
-                    cam,
-                    self._pose,
-                    params.mu_distance,
-                    ws,
-                )
-                workload.add(kernels.integrate(params.volume_resolution))
-
-        # 4. Raycast the next reference ---------------------------------------
-        with stage(workload, "raycast", frame=frame.index,
-                   backend=backend.name):
-            # The backend raycasts and stores the prediction in the volume
-            # frame for projective association.
-            self._reference = backend.raycast_model(
-                self.volume,
-                cam,
-                self._pose,
-                params.mu_distance,
-                ws,
-            )
-            workload.add(
-                kernels.raycast(
-                    cam.pixel_count,
-                    params.volume_size,
-                    params.mu_distance,
-                    params.voxel_size,
-                )
-            )
-
-        # 5. Optional GUI render ----------------------------------------------
-        if self._publish_render:
-            # Tracer-only span: the render is not one of the four canonical
-            # wall-time stages the simulator-side analyses consume.
-            with current_tracer().span("render", frame=frame.index,
-                                       backend=backend.name):
-                self._last_render = render_volume(
-                    self.volume, cam, self._pose, params.mu_distance
-                )
-                workload.add(kernels.render(cam.pixel_count))
-
+        ctx = StageContext(
+            frame=frame,
+            workload=workload,
+            state=self,
+            backend=self._backend,
+            workspace=self._workspace,
+            params=self.params,
+        )
+        self._instance.run_frame(ctx)
         return self._status
 
     def do_update_outputs(self) -> None:

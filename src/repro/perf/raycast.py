@@ -41,16 +41,8 @@ def raycast_model(
     ws: FrameWorkspace,
     near: float = 0.1,
     far: float | None = None,
-    sample_fn=sample_f32,
-    gradient_fn=gradient_f32,
 ) -> ReferenceModel:
-    """March all pixel rays; return the volume-frame surface prediction.
-
-    ``sample_fn``/``gradient_fn`` let a backend swap the trilinear inner
-    loops (the jit backend injects numba-compiled ones) while keeping
-    this march — step size, crossing detection, refinement, compaction —
-    as the single implementation.
-    """
+    """March all pixel rays; return the volume-frame surface prediction."""
     if far is None:
         far = float(np.sqrt(3.0)) * volume.size + near
     near = np.float32(near)
@@ -83,7 +75,7 @@ def raycast_model(
         if active_idx.size == 0:
             break
         pts = origin + t[:, None] * dirs
-        val, valid = sample_fn(volume, pts)
+        val, valid = sample_f32(volume, pts)
 
         # Zero crossing: previous sample positive, current negative.
         crossing = prev_valid & valid & (prev_val > 0.0) & (val <= 0.0)
@@ -111,7 +103,7 @@ def raycast_model(
     if hit.any():
         hit_idx = np.flatnonzero(hit)
         pts_vol = origin + hit_t[hit_idx, None] * dirs_all[hit_idx]
-        grad = gradient_fn(volume, pts_vol)
+        grad = gradient_f32(volume, pts_vol)
         norm = np.linalg.norm(grad, axis=-1)
         good = norm > 1e-12
         keep = hit_idx[good]

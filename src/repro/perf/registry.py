@@ -7,7 +7,7 @@ hot per-frame kernels behind a uniform call seam, and the pipeline picks
 one by name at init time (``KinectFusion(kernel_backend=...)``,
 ``repro-benchmark run --kernel-backend ...``).
 
-Three backends always ship:
+Three backends ship:
 
 * ``"reference"`` — the float64 textbook kernels of ``repro.kfusion``,
   bit-identical to what the pipeline ran before this registry existed
@@ -21,10 +21,6 @@ Three backends always ship:
   band-restricted integration and space-skipping raycast
   (:mod:`repro.perf.sparse_integrate` / ``sparse_raycast``; DESIGN.md
   S22).
-
-A fourth, ``"jit"``, registers only when numba is importable
-(:mod:`repro.perf.jit`): the fast pipeline with numba-compiled
-trilinear and ICP-association inner loops.
 
 Every backend function takes the run's
 :class:`~repro.perf.workspace.FrameWorkspace` as its last positional
@@ -215,10 +211,3 @@ SPARSE_BACKEND = KernelBackend(
 register_kernel_backend(REFERENCE_BACKEND)
 register_kernel_backend(FAST_BACKEND)
 register_kernel_backend(SPARSE_BACKEND)
-
-# The numba-jitted backend is optional: repro.perf.jit registers it here
-# only when numba imports cleanly, so environments without numba see
-# exactly the three backends above.
-from . import jit as _jit  # noqa: E402  (needs the registry above)
-
-_jit.register_jit_backend()

@@ -232,7 +232,7 @@ class TestTraceCommands:
 
 
 class TestGraphCommands:
-    """``repro graph`` subcommands and the ``run --pipeline`` flag.
+    """``repro graph`` subcommands.
 
     ``graph check`` follows the lint exit-code contract: 0 clean, 1 on
     findings (a graph that fails to compile), 2 on an internal error
@@ -285,32 +285,3 @@ class TestGraphCommands:
     def test_graph_show_unknown_reports_error(self, capsys):
         assert main(["graph", "show", "teapot"]) == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_graph_diff_equivalent(self, capsys):
-        code = main([
-            "graph", "diff", "--frames", "4", "--width", "32",
-            "--height", "24", "--set", "volume_resolution=48",
-            "--set", "volume_size=5.0",
-        ])
-        assert code == 0
-        assert "EQUIVALENT" in capsys.readouterr().out
-
-    def test_graph_diff_odometry(self, capsys):
-        code = main([
-            "graph", "diff", "--algorithm", "icp_odometry",
-            "--frames", "4", "--width", "32", "--height", "24",
-        ])
-        assert code == 0
-        assert "icp_odometry" in capsys.readouterr().out
-
-    def test_run_pipeline_flag(self, capsys):
-        for pipeline in ("graph", "legacy"):
-            code = main([
-                "run", "--dataset", "lr_kt0", "--frames", "3",
-                "--width", "32", "--height", "24",
-                "--pipeline", pipeline,
-                "--set", "volume_resolution=48",
-                "--set", "volume_size=5.0",
-            ])
-            assert code == 0
-            assert "kfusion on lr_kt0" in capsys.readouterr().out

@@ -7,10 +7,12 @@ pipeline refactor that changes numerical behaviour — kernel reordering, a
 different ICP convergence path, altered integration scheduling — shows up
 here instead of slipping through the purely structural tests.
 
-Both kernel backends are pinned (``reference``, the float64 textbook
-kernels, and ``fast``, the float32 workspace kernels of ``repro.perf``)
-with their *own* recorded ATE values, so a numerical drift in either
-implementation is caught independently.
+Every kernel backend is pinned (``reference``, the float64 textbook
+kernels, ``fast``, the float32 workspace kernels of ``repro.perf``, and
+``sparse``, the voxel-block volume) with its *own* recorded ATE values,
+so a numerical drift in any implementation is caught independently.
+The frame-to-frame ``icp_odometry`` baseline is pinned the same way.
+These tables are the compiled stage graph's oracle.
 
 Tolerances (documented, deliberately asymmetric in strictness):
 
@@ -26,6 +28,7 @@ Tolerances (documented, deliberately asymmetric in strictness):
 
 import pytest
 
+from repro.baselines.odometry import ICPOdometry
 from repro.core import run_benchmark
 from repro.datasets import icl_nuim
 from repro.graph import TapSpec
@@ -34,7 +37,7 @@ from repro.telemetry import Tracer, use_tracer
 
 ATE_REL_TOL = 0.02
 
-BACKENDS = ("reference", "fast")
+BACKENDS = ("reference", "fast", "sparse")
 
 #: Recorded per-backend ATE values (numpy 2.4, this container).
 GOLDEN_ATE = {
@@ -46,17 +49,29 @@ GOLDEN_ATE = {
                         "max": 0.18688626834420913},
     ("fast", 64): {"rmse": 0.0690549280815696,
                    "max": 0.18688364918560782},
+    ("sparse", 96): {"rmse": 0.0037567860943899475,
+                     "max": 0.0051726755650136225},
+    ("sparse", 64): {"rmse": 0.0690549280815696,
+                     "max": 0.18688364918560782},
 }
+
+#: Recorded icp_odometry ATE (lr_kt0, 10 frames at 80x60, seed 0,
+#: compute_size_ratio=2).
+GOLDEN_ODOMETRY_ATE = {"rmse": 0.009930904928108279,
+                       "max": 0.015462973925441142}
+
+
+def _sequence():
+    seq = icl_nuim.load("lr_kt0", n_frames=10, width=80, height=60, seed=0)
+    seq.materialize()
+    return seq
 
 
 def _run(volume_resolution: int, kernel_backend: str = "fast",
-         pipeline: str = "graph", taps: tuple = ()):
-    seq = icl_nuim.load("lr_kt0", n_frames=10, width=80, height=60, seed=0)
-    seq.materialize()
+         taps: tuple = ()):
     return run_benchmark(
-        KinectFusion(kernel_backend=kernel_backend, pipeline=pipeline,
-                     taps=taps),
-        seq,
+        KinectFusion(kernel_backend=kernel_backend, taps=taps),
+        _sequence(),
         configuration={
             "volume_resolution": volume_resolution,
             "volume_size": 5.0,
@@ -132,40 +147,21 @@ class TestGoldenDeterminism:
         ]
 
 
-class TestGoldenPipelinePaths:
-    """The default runs above exercise the compiled stage graph; this
-    class pins the *legacy* call sequence to the same golden values, so
-    both execution paths stay anchored to the recorded behaviour (the
-    frame-by-frame proof lives in tests/test_graph_equivalence.py)."""
+class TestGoldenOdometry:
+    @pytest.fixture(scope="class")
+    def odometry_run(self):
+        return run_benchmark(ICPOdometry(), _sequence(),
+                             configuration={"compute_size_ratio": 2})
 
-    @pytest.fixture(scope="class", params=BACKENDS)
-    def legacy_run(self, request):
-        return request.param, _run(volume_resolution=96,
-                                   kernel_backend=request.param,
-                                   pipeline="legacy")
+    def test_ate_pinned(self, odometry_run):
+        assert odometry_run.ate.rmse == pytest.approx(
+            GOLDEN_ODOMETRY_ATE["rmse"], rel=ATE_REL_TOL)
+        assert odometry_run.ate.max == pytest.approx(
+            GOLDEN_ODOMETRY_ATE["max"], rel=ATE_REL_TOL)
 
-    def test_default_pipeline_is_graph(self):
-        assert KinectFusion().pipeline == "graph"
-
-    def test_legacy_ate_pinned(self, legacy_run):
-        backend, run = legacy_run
-        assert run.ate.rmse == pytest.approx(
-            GOLDEN_ATE[(backend, 96)]["rmse"], rel=ATE_REL_TOL)
-        assert run.ate.max == pytest.approx(
-            GOLDEN_ATE[(backend, 96)]["max"], rel=ATE_REL_TOL)
-
-    def test_legacy_status_sequence_pinned(self, legacy_run):
-        _, run = legacy_run
-        statuses = [r.status.value for r in run.collector.records]
+    def test_status_sequence(self, odometry_run):
+        statuses = [r.status.value for r in odometry_run.collector.records]
         assert statuses == ["bootstrap"] + ["ok"] * 9
-
-    def test_graph_equals_legacy_bitwise(self, good_run, legacy_run):
-        backend_g, graph = good_run
-        backend_l, legacy = legacy_run
-        if backend_g != backend_l:
-            pytest.skip("cross-backend pairing")
-        assert graph.ate.rmse == legacy.ate.rmse
-        assert graph.ate.max == legacy.ate.max
 
 
 class TestGoldenStreamTaps:

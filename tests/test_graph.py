@@ -416,25 +416,33 @@ class _FakeIndexedFrame:
 
 
 class TestStreamTaps:
-    def _tapped_instance(self, scratch_registry, **tap_kwargs):
+    def _emit_graph(self, scratch_registry):
         register_stage(_spec(
             "toy.emit", outputs=(Port("out", "arr"),),
             run=lambda ctx, i: {"out": np.arange(6, dtype=np.float32)},
         ))
-        spec = GraphSpec(name="tapped", nodes=(("emit", "toy.emit"),))
+        return GraphSpec(name="tapped", nodes=(("emit", "toy.emit"),))
+
+    def _tapped_instance(self, scratch_registry, **tap_kwargs):
+        spec = self._emit_graph(scratch_registry)
         return compile_graph(spec.with_tap("emit", "out", **tap_kwargs))
 
     def test_tap_emits_named_span_with_attrs(self, scratch_registry):
-        instance = self._tapped_instance(scratch_registry)
-        tracer = Tracer(enabled=True)
-        with use_tracer(tracer):
-            instance.run_frame(StageContext(frame=_FakeIndexedFrame(3)))
-        taps = [s for s in tracer.spans if s.name == "tap.emit.out"]
-        assert len(taps) == 1
-        attrs = taps[0].attrs
-        assert attrs["frame"] == 3
-        assert attrs["node"] == "emit" and attrs["port"] == "out"
-        assert attrs["shape"] == "6" and attrs["dtype"] == "float32"
+        spec = self._emit_graph(scratch_registry)
+        # The same tap attached three ways: keyword, TapSpec, (node, port).
+        for tapped in (spec.with_tap("emit", "out"),
+                       spec.with_taps([TapSpec(node="emit", port="out")]),
+                       spec.with_taps([("emit", "out")])):
+            instance = compile_graph(tapped)
+            tracer = Tracer(enabled=True)
+            with use_tracer(tracer):
+                instance.run_frame(StageContext(frame=_FakeIndexedFrame(3)))
+            taps = [s for s in tracer.spans if s.name == "tap.emit.out"]
+            assert len(taps) == 1
+            attrs = taps[0].attrs
+            assert attrs["frame"] == 3
+            assert attrs["node"] == "emit" and attrs["port"] == "out"
+            assert attrs["shape"] == "6" and attrs["dtype"] == "float32"
 
     def test_tap_sampling_cadence(self, scratch_registry):
         instance = self._tapped_instance(scratch_registry, every=3)

@@ -43,7 +43,6 @@ from repro.perf import integrate as fast_integrate_mod
 from repro.perf import preprocess as fast_pre
 from repro.perf import raycast as fast_raycast_mod
 from repro.perf import tracking as fast_track
-from repro.perf.jit import HAVE_NUMBA
 from repro.telemetry import Tracer
 
 #: Documented fast-vs-reference ATE tolerance (relative); see DESIGN.md
@@ -131,10 +130,7 @@ class TestFrameWorkspace:
 # ---------------------------------------------------------------------------
 class TestKernelBackendRegistry:
     def test_all_backends_registered(self):
-        expected = ["fast", "reference", "sparse"]
-        if HAVE_NUMBA:
-            expected.insert(1, "jit")
-        assert kernel_backend_names() == expected
+        assert kernel_backend_names() == ["fast", "reference", "sparse"]
 
     def test_default_is_fast(self):
         assert DEFAULT_KERNEL_BACKEND == "fast"
@@ -373,7 +369,7 @@ def _golden_run(backend_name, volume_resolution=96):
 
 #: Every optimized backend is held to the same golden bar against the
 #: reference: identical status sequences, ATE within FAST_ATE_REL_TOL.
-GOLDEN_BACKENDS = ("fast", "sparse") + (("jit",) if HAVE_NUMBA else ())
+GOLDEN_BACKENDS = ("fast", "sparse")
 
 
 @pytest.fixture(scope="module")
