@@ -57,11 +57,20 @@ contract, same noqa/baseline machinery) instead of ``repro lint``; see
 :mod:`repro.analysis.dataflow`.  RPR014-016 (the lockset concurrency
 verifier over the thread/process layers) also run standalone under
 ``repro races check`` with a committed ``CONCURRENCY.json`` snapshot;
-see :mod:`~repro.analysis.concurrency` and :mod:`~repro.analysis.races`.
+see :mod:`~repro.analysis.concurrency` and
+:mod:`~repro.analysis.commands`.
+
+Every whole-program rule and command shares one parse, one call graph
+and one effect fixpoint per file set: the
+:class:`~repro.analysis.program.Program`.  The contract language the
+runtime uses (``@contract``, port contracts, the effect vocabulary)
+lives in :mod:`repro.contracts`, so importing the runtime never imports
+this package.
 
 Programmatic use::
 
-    from repro.analysis import analyze_paths, run_lint
+    from repro.analysis.framework import analyze_paths
+    from repro.analysis.lint import run_lint
 
     findings = analyze_paths(["src/repro"])
     exit_code = run_lint(["src/repro"], output_format="json")
@@ -78,96 +87,3 @@ from . import checkers as _checkers  # noqa: F401 (registers RPR001/2/3/5/6/7)
 from . import concurrency as _concurrency  # noqa: F401 (RPR014/15/16)
 from . import consistency as _consistency  # noqa: F401  (registers RPR004)
 from . import policy as _policy  # noqa: F401  (registers RPR008/9/10)
-from .baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-    migrate_baseline,
-    write_baseline,
-)
-from .callgraph import CallGraph, build_callgraph, module_name_for
-from .contracts import (
-    ArraySpec,
-    ContractError,
-    contract,
-    contracts_equal,
-    format_contract,
-    parse_contract,
-)
-from .dataflow import (
-    GraphUnderCheck,
-    PortContract,
-    check_graphs,
-    format_port_contract,
-    parse_port_contract,
-    port_contract_mismatch,
-    run_dataflow,
-)
-from .effects import (
-    DEFAULT_SNAPSHOT,
-    EffectAnalysis,
-    diff_snapshots,
-    load_snapshot,
-    snapshot_payload,
-    write_snapshot,
-)
-from .findings import Finding, Severity
-from .framework import (
-    AnalysisError,
-    Checker,
-    ModuleContext,
-    ProjectChecker,
-    analyze_paths,
-    analyze_source,
-    register_checker,
-    rule_catalogue,
-)
-from .lint import run_lint
-from .policy import ArchPolicy, PolicyError, load_policy, project_state
-from .reporters import format_json, format_text
-
-__all__ = [
-    "AnalysisError",
-    "ArchPolicy",
-    "ArraySpec",
-    "CallGraph",
-    "Checker",
-    "ContractError",
-    "DEFAULT_BASELINE",
-    "DEFAULT_SNAPSHOT",
-    "EffectAnalysis",
-    "Finding",
-    "GraphUnderCheck",
-    "ModuleContext",
-    "PolicyError",
-    "PortContract",
-    "ProjectChecker",
-    "Severity",
-    "analyze_paths",
-    "analyze_source",
-    "apply_baseline",
-    "build_callgraph",
-    "check_graphs",
-    "contract",
-    "contracts_equal",
-    "diff_snapshots",
-    "format_contract",
-    "format_json",
-    "format_port_contract",
-    "format_text",
-    "load_baseline",
-    "load_policy",
-    "load_snapshot",
-    "migrate_baseline",
-    "module_name_for",
-    "parse_contract",
-    "parse_port_contract",
-    "port_contract_mismatch",
-    "project_state",
-    "run_dataflow",
-    "register_checker",
-    "rule_catalogue",
-    "run_lint",
-    "snapshot_payload",
-    "write_snapshot",
-]

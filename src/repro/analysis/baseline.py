@@ -6,16 +6,10 @@ than once in a file).  ``repro lint --write-baseline`` snapshots the
 current findings; later runs subtract the baseline and fail only on
 *new* findings.
 
-Fingerprint formats:
-
-* **version 2** (current) — ``rule::path::symbol::sha1(content)[:12]``;
-  anchored on the enclosing symbol and the flagged line's text, so
-  unrelated edits — including ones that renumber every line — do not
-  churn the committed file.
-* **version 1** (legacy) — ``rule::path::message``.  Still loads and
-  applies (via :attr:`~repro.analysis.findings.Finding.fingerprint_v1`)
-  so old baselines keep working; ``repro lint --migrate-baseline``
-  rewrites one in place to version 2.
+Fingerprints (file version 2) are ``rule::path::symbol::sha1(content)[:12]``:
+anchored on the enclosing symbol and the flagged line's text, so
+unrelated edits — including ones that renumber every line — do not
+churn the committed file.  Any other file version is rejected.
 """
 
 from __future__ import annotations
@@ -46,13 +40,7 @@ def write_baseline(findings: Sequence[Finding], path: str | Path) -> int:
 
 
 def load_baseline(path: str | Path) -> Counter:
-    """Load a baseline file into a fingerprint -> allowance counter.
-
-    Accepts both fingerprint versions; the returned counter carries the
-    file's version as a ``.version`` attribute so
-    :func:`apply_baseline` knows which :class:`Finding` fingerprint to
-    match against.
-    """
+    """Load a baseline file into a fingerprint -> allowance counter."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -62,23 +50,15 @@ def load_baseline(path: str | Path) -> Counter:
     if not isinstance(doc, dict) or "fingerprints" not in doc:
         raise AnalysisError(f"baseline {path} has no 'fingerprints' map")
     version = doc.get("version")
-    if version not in (1, BASELINE_VERSION):
+    if version != BASELINE_VERSION:
         raise AnalysisError(
             f"baseline {path} has version {version!r}, "
-            f"expected 1 or {BASELINE_VERSION}"
+            f"expected {BASELINE_VERSION}"
         )
     fingerprints = doc["fingerprints"]
     if not isinstance(fingerprints, dict):
         raise AnalysisError(f"baseline {path}: 'fingerprints' must be a map")
-    counter = Counter({str(k): int(v) for k, v in fingerprints.items()})
-    counter.version = version
-    return counter
-
-
-def _key_fn(baseline: Counter):
-    if getattr(baseline, "version", BASELINE_VERSION) == 1:
-        return lambda f: f.fingerprint_v1
-    return lambda f: f.fingerprint
+    return Counter({str(k): int(v) for k, v in fingerprints.items()})
 
 
 def apply_baseline(findings: Sequence[Finding],
@@ -86,39 +66,15 @@ def apply_baseline(findings: Sequence[Finding],
     """Split findings into (new, n_suppressed) against a baseline.
 
     Each fingerprint suppresses up to its recorded count of occurrences;
-    findings beyond the allowance are treated as new.  The fingerprint
-    format follows the baseline's recorded version (``.version`` from
-    :func:`load_baseline`; plain counters are treated as current).
+    findings beyond the allowance are treated as new.
     """
-    key = _key_fn(baseline)
     allowance = Counter(baseline)
     kept: list[Finding] = []
     suppressed = 0
     for finding in findings:
-        if allowance[key(finding)] > 0:
-            allowance[key(finding)] -= 1
+        if allowance[finding.fingerprint] > 0:
+            allowance[finding.fingerprint] -= 1
             suppressed += 1
         else:
             kept.append(finding)
     return kept, suppressed
-
-
-def migrate_baseline(findings: Sequence[Finding],
-                     path: str | Path) -> tuple[int, int]:
-    """Rewrite a baseline at ``path`` to the current fingerprint version.
-
-    Current ``findings`` that the old baseline suppresses are re-recorded
-    under their version-2 fingerprints; stale allowances (nothing matches
-    them any more) are dropped.  Returns ``(migrated, dropped)`` counts.
-    """
-    old = load_baseline(path)
-    key = _key_fn(old)
-    allowance = Counter(old)
-    matched: list[Finding] = []
-    for finding in findings:
-        if allowance[key(finding)] > 0:
-            allowance[key(finding)] -= 1
-            matched.append(finding)
-    write_baseline(matched, path)
-    dropped = sum(v for v in allowance.values() if v > 0)
-    return len(matched), dropped

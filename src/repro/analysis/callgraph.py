@@ -39,9 +39,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .framework import ModuleContext
+from .framework import ModuleContext, dotted_name, param_names
 
 #: Default first-party root package.
 ROOT_PACKAGE = "repro"
@@ -74,6 +74,11 @@ def module_name_for(path: str, root_package: str = ROOT_PACKAGE) -> str | None:
     if stem != "__init__":
         mods.append(stem)
     return ".".join(mods)
+
+
+def in_package(name: str, packages: Iterable[str]) -> bool:
+    """Whether dotted ``name`` is one of ``packages`` or inside one."""
+    return any(name == p or name.startswith(p + ".") for p in packages)
 
 
 @dataclass(frozen=True)
@@ -213,15 +218,13 @@ class CallGraph:
             return None
         return None
 
-    def attr_type(self, class_qname: str, attr: str,
-                  _depth: int = 0) -> str | None:
+    def attr_type(self, class_qname: str, attr: str) -> str | None:
         """Class qname of ``self.<attr>`` from constructor assignments."""
-        return self._attr_lookup(class_qname, attr, "attr_types", _depth)
+        return self._attr_lookup(class_qname, attr, "attr_types")
 
-    def attr_elem_type(self, class_qname: str, attr: str,
-                       _depth: int = 0) -> str | None:
+    def attr_elem_type(self, class_qname: str, attr: str) -> str | None:
         """Element class of a container attribute (``dict[str, Cls]``)."""
-        return self._attr_lookup(class_qname, attr, "attr_elem_types", _depth)
+        return self._attr_lookup(class_qname, attr, "attr_elem_types")
 
     def _attr_lookup(self, class_qname: str, attr: str, table: str,
                      _depth: int = 0) -> str | None:
@@ -279,6 +282,26 @@ class CallGraph:
                 if target.module != node.module:
                     edges.add((node.module, target.module))
         return edges
+
+
+def solve_worklist(start: Iterable[str],
+                   visit: Callable[[str], Iterable[str]]) -> None:
+    """The one fixpoint driver of the whole-program analyses.
+
+    ``visit(node)`` updates the caller's state for ``node`` and returns
+    the nodes that must be visited again because of that update.  The
+    solver visits ``start`` first, then round by round every node the
+    previous round queued, each round in sorted order, until a round
+    queues nothing.  The fixed visiting order makes every derived
+    artefact deterministic: effect ``via`` chains, thread-discovery
+    trees, and lockset fixpoints.
+    """
+    pending = sorted(set(start))
+    while pending:
+        queued: set[str] = set()
+        for node in pending:
+            queued.update(visit(node))
+        pending = sorted(queued)
 
 
 def _package_of(module: str, is_package: bool) -> list[str]:
@@ -364,7 +387,7 @@ def _harvest_module(graph: CallGraph, harvest: _ModuleHarvest) -> None:
         qname = f"{scope}.{node.name}"
         bases = []
         for b in node.bases:
-            dotted = _dotted_text(b)
+            dotted = dotted_name(b)
             if dotted is not None:
                 bases.append(_expand_alias(harvest.symbols, dotted))
         cls = ClassNode(qname=qname, module=module, bases=bases)
@@ -386,17 +409,6 @@ def _harvest_module(graph: CallGraph, harvest: _ModuleHarvest) -> None:
         qname=body_qname, module=module, path=ctx.path, lineno=1,
         ast_node=ctx.tree)
     harvest.function_bodies.append((ctx.tree, None, body_qname))
-
-
-def _dotted_text(node: ast.AST) -> str | None:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _expand_alias(symbols: dict[str, str], dotted: str) -> str:
@@ -423,7 +435,7 @@ def _annotation_class(graph: CallGraph, symbols: dict[str, str],
         except SyntaxError:
             return None
         return _annotation_class(graph, symbols, node)
-    dotted = _dotted_text(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     return graph.resolve_class(_expand_alias(symbols, dotted))
@@ -438,7 +450,7 @@ def _container_elem_annotation(graph: CallGraph, symbols: dict[str, str],
     """
     if not isinstance(node, ast.Subscript):
         return None
-    base = _dotted_text(node.value)
+    base = dotted_name(node.value)
     if base is None:
         return None
     base = base.rpartition(".")[2].lower()
@@ -454,7 +466,7 @@ def _container_elem_annotation(graph: CallGraph, symbols: dict[str, str],
     return None
 
 
-def _own_statements(root: ast.AST) -> Iterable[ast.AST]:
+def iter_own_nodes(root: ast.AST) -> Iterable[ast.AST]:
     """Walk ``root``'s body without descending into nested def/class.
 
     For a function root, decorators / parameter defaults / annotations
@@ -468,11 +480,6 @@ def _own_statements(root: ast.AST) -> Iterable[ast.AST]:
                              ast.ClassDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def iter_own_nodes(func: ast.AST) -> Iterable[ast.AST]:
-    """Public alias of the own-body walk (used by the effect seeder)."""
-    return _own_statements(func)
 
 
 def _harvest_attr_types(graph: CallGraph, harvest: _ModuleHarvest) -> None:
@@ -508,7 +515,7 @@ def _harvest_attr_types(graph: CallGraph, harvest: _ModuleHarvest) -> None:
             elif prev != attr_cls:
                 table[attr] = ""
 
-        for stmt in _own_statements(func):
+        for stmt in iter_own_nodes(func):
             if isinstance(stmt, ast.AnnAssign):
                 target = stmt.target
                 if not (isinstance(target, ast.Attribute)
@@ -527,7 +534,7 @@ def _harvest_attr_types(graph: CallGraph, harvest: _ModuleHarvest) -> None:
             if not (isinstance(stmt, ast.Assign)
                     and isinstance(stmt.value, ast.Call)):
                 continue
-            ctor = _dotted_text(stmt.value.func)
+            ctor = dotted_name(stmt.value.func)
             if ctor is None:
                 continue
             attr_cls = graph.resolve_class(_expand_alias(symbols, ctor))
@@ -550,19 +557,11 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
 
     # Local scope: parameters, assigned names, nested defs, local
     # imports, constructor types (``x = Cls(...)`` -> x: Cls).
-    local_names: set[str] = set()
+    local_names = param_names(func)
     nested_funcs: dict[str, str] = {}
     local_types: dict[str, str] = {}
     local_imports: dict[str, str] = {}
-    if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        args = func.args
-        for a in (args.posonlyargs + args.args + args.kwonlyargs):
-            local_names.add(a.arg)
-        if args.vararg:
-            local_names.add(args.vararg.arg)
-        if args.kwarg:
-            local_names.add(args.kwarg.arg)
-    for stmt in _own_statements(func):
+    for stmt in iter_own_nodes(func):
         if isinstance(stmt, ast.Import):
             # edges were recorded (lazily) during harvest; bind names only
             for alias in stmt.names:
@@ -602,7 +601,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
 
     def value_type(value: ast.AST) -> str | None:
         if isinstance(value, ast.Call):
-            dotted = _dotted_text(value.func)
+            dotted = dotted_name(value.func)
             if dotted is None:
                 return None
             parts = dotted.split(".")
@@ -631,7 +630,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
             cls = _annotation_class(graph, scope, a.annotation)
             if cls is not None:
                 local_types[a.arg] = cls
-    for stmt in _own_statements(func):
+    for stmt in iter_own_nodes(func):
         if (isinstance(stmt, ast.Assign)
                 and any(isinstance(t, ast.Name) for t in stmt.targets)):
             cls = value_type(stmt.value)
@@ -650,7 +649,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
                 iter_expr = iter_expr.args[0]
             if not isinstance(iter_expr, ast.Call):
                 continue
-            dotted = _dotted_text(iter_expr.func)
+            dotted = dotted_name(iter_expr.func)
             parts = dotted.split(".") if dotted else []
             if not (class_qname is not None and len(parts) == 3
                     and parts[0] == "self"
@@ -668,7 +667,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
                 local_types[target.elts[1].id] = elem
 
     def record(call: ast.Call) -> None:
-        dotted = _dotted_text(call.func)
+        dotted = dotted_name(call.func)
         if dotted is None:
             node_out.unresolved.append(CallSite("<expression>", call.lineno))
             return
@@ -727,7 +726,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
             return
         node_out.external.append(CallSite(expanded, call.lineno))
 
-    for stmt in _own_statements(func):
+    for stmt in iter_own_nodes(func):
         if isinstance(stmt, ast.Call):
             record(stmt)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
@@ -737,7 +736,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
                 ce = item.context_expr
                 if not isinstance(ce, ast.Call):
                     continue
-                dotted = _dotted_text(ce.func)
+                dotted = dotted_name(ce.func)
                 if dotted is None:
                     continue
                 cls = graph.resolve_class(expand(dotted))

@@ -37,9 +37,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .contracts import ContractError, parse_contract
+from ..contracts import ContractError, parse_contract
 from .findings import Finding
-from .framework import Checker, ModuleContext, register_checker
+from .framework import Checker, ModuleContext, param_names, register_checker
 
 #: Clock calls that bypass the telemetry substrate (RPR001).
 BANNED_CLOCKS = frozenset({
@@ -397,15 +397,7 @@ class ContractSyntaxChecker(Checker):
         decos = _contract_decorators(ctx, func)
         if not decos:
             return
-        args = func.args
-        param_names = {
-            a.arg
-            for a in (args.posonlyargs + args.args + args.kwonlyargs)
-        }
-        if args.vararg:
-            param_names.add(args.vararg.arg)
-        if args.kwarg:
-            param_names.add(args.kwarg.arg)
+        params = param_names(func)
         declared: dict[str, str] = {}
         for deco in decos:
             if deco.args:
@@ -438,7 +430,7 @@ class ContractSyntaxChecker(Checker):
                     yield ctx.finding(kw.value, self.rule_id,
                                       f"@contract on {func.name}: {exc}")
                     continue
-                if kw.arg not in param_names:
+                if kw.arg not in params:
                     yield ctx.finding(
                         kw.value, self.rule_id,
                         f"@contract on {func.name}: no parameter "

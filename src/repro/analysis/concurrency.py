@@ -47,29 +47,40 @@ engine holds it) and ``unshared`` (never escapes its thread).  The
 reason is mandatory; a marker that does not parse is itself an RPR014
 finding.
 
-``repro races check|show|snapshot|diff`` drives this module; the
-committed ``CONCURRENCY.json`` snapshot is diffed in CI exactly like
-``ARCH_EFFECTS.json``.
+``repro races check|show|snapshot|diff`` drives this module (see
+:mod:`repro.analysis.commands`); the committed ``CONCURRENCY.json``
+snapshot is diffed in CI exactly like ``ARCH_EFFECTS.json``.  Thread
+reachability and both lock fixpoints run on the shared worklist solver
+(:func:`~repro.analysis.callgraph.solve_worklist`).
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Sequence
 
-from .callgraph import (CallGraph, FunctionNode, _dotted_text, _expand_alias,
-                        build_callgraph, iter_own_nodes)
-from .effects import (DEFAULT_ABSORB, EffectAnalysis, MUTATING_METHOD_NAMES)
+from .callgraph import (
+    CallGraph,
+    FunctionNode,
+    _expand_alias,
+    iter_own_nodes,
+    solve_worklist,
+)
+from .effects import MUTATING_METHOD_NAMES, EffectAnalysis, assign_targets
 from .findings import Finding
-from .framework import ModuleContext, ProjectChecker, register_checker
-from .policy import (DEFAULT_POLICY, ArchPolicy, load_policy,
-                     run_state_key)
+from .framework import (
+    ModuleContext,
+    ProjectChecker,
+    dotted_name,
+    param_names,
+    register_checker,
+)
+from .policy import ArchPolicy
+from .program import program_for
 
 #: Annotation marker; the grammar is ``'# ' marker ' ' target ' -- ' reason``.
 GUARD_MARKER = "guarded-by:"
@@ -111,9 +122,6 @@ LOCK_FORBIDDEN_EFFECTS = ("io", "process")
 
 #: Constructor-time writes never race: publication happens-before use.
 _SETUP_METHODS = ("__init__", "__post_init__", "__new__", "__set_name__")
-
-DEFAULT_SNAPSHOT = "CONCURRENCY.json"
-SNAPSHOT_VERSION = 1
 
 RACE_RULES = ("RPR014", "RPR015", "RPR016")
 
@@ -278,41 +286,33 @@ class ConcurrencyAnalysis:
         return owner
 
     def _harvest_sync(self) -> None:
-        """Find every lock/sync-primitive field and module global."""
-        kinds = dict(LOCK_FACTORIES)
-        kinds.update(NONLOCK_SYNC)
+        """Find every lock/sync-primitive field and module global:
+        module-level assignments and ``self.x = ...`` in method bodies."""
+        kinds = {**LOCK_FACTORIES, **NONLOCK_SYNC}
         for qname in sorted(self.graph.functions):
             node = self.graph.functions[qname]
-            symbols = self.graph._symbols.get(node.module, {})
-            if qname.endswith(".<module>"):
-                scope = node.module
-                body = getattr(node.ast_node, "body", [])
-                self._harvest_sync_block(body, scope, None, symbols, kinds)
-                continue
+            module = (node.module if qname.endswith(".<module>") else None)
             owner = self._method_owner.get(qname)
-            if owner is None:
+            if module is None and owner is None:
                 continue
-            body = getattr(node.ast_node, "body", [])
-            self._harvest_sync_block(body, None, owner, symbols, kinds)
-
-    def _harvest_sync_block(self, stmts, module, owner, symbols, kinds):
-        for stmt in stmts:
-            if not (isinstance(stmt, ast.Assign)
-                    and isinstance(stmt.value, ast.Call)):
-                continue
-            dotted = _dotted_text(stmt.value.func)
-            if dotted is None:
-                continue
-            kind = kinds.get(_expand_alias(symbols, dotted))
-            if kind is None:
-                continue
-            for target in stmt.targets:
-                if (owner is not None and isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    self.sync_kinds[f"{owner}.{target.attr}"] = kind
-                elif module is not None and isinstance(target, ast.Name):
-                    self.sync_kinds[f"{module}.{target.id}"] = kind
+            symbols = self.graph._symbols.get(node.module, {})
+            for stmt in getattr(node.ast_node, "body", []):
+                if not (isinstance(stmt, ast.Assign)
+                        and isinstance(stmt.value, ast.Call)):
+                    continue
+                dotted = dotted_name(stmt.value.func)
+                kind = (kinds.get(_expand_alias(symbols, dotted))
+                        if dotted is not None else None)
+                if kind is None:
+                    continue
+                for target in stmt.targets:
+                    if (owner is not None
+                            and isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id == "self"):
+                        self.sync_kinds[f"{owner}.{target.attr}"] = kind
+                    elif module is not None and isinstance(target, ast.Name):
+                        self.sync_kinds[f"{module}.{target.id}"] = kind
 
     def _is_lock(self, key: str) -> bool:
         return self.sync_kinds.get(key) in (
@@ -331,12 +331,7 @@ class ConcurrencyAnalysis:
         """Harvest guarded-by annotations on module-level assignments."""
         lines = self.graph.sources.get(node.path, [])
         for stmt in getattr(node.ast_node, "body", []):
-            targets = []
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-            elif isinstance(stmt, ast.AnnAssign):
-                targets = [stmt.target]
-            for target in targets:
+            for target in assign_targets(stmt):
                 if isinstance(target, ast.Name):
                     key = f"{node.module}.{target.id}"
                     self._harvest_guard(key, node.path, lines, stmt.lineno)
@@ -383,16 +378,8 @@ class ConcurrencyAnalysis:
     def _scan_function(self, qname: str, node: FunctionNode) -> FuncSummary:
         out = FuncSummary(qname)
         func = node.ast_node
-        local_names: set[str] = set()
+        local_names = param_names(func)
         global_decls: set[str] = set()
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            a = func.args
-            for p in (a.posonlyargs + a.args + a.kwonlyargs):
-                local_names.add(p.arg)
-            if a.vararg:
-                local_names.add(a.vararg.arg)
-            if a.kwarg:
-                local_names.add(a.kwarg.arg)
         for n in iter_own_nodes(func):
             if isinstance(n, ast.Global):
                 global_decls.update(n.names)
@@ -450,7 +437,7 @@ class ConcurrencyAnalysis:
         if not (isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Call)):
             return None
-        dotted = _dotted_text(stmt.value.func)
+        dotted = dotted_name(stmt.value.func)
         if dotted is None or "." not in dotted:
             return None
         receiver, _, verb = dotted.rpartition(".")
@@ -512,7 +499,7 @@ class ConcurrencyAnalysis:
         hf = frozenset(held)
         # subscript/attribute stores reach *through* the target into the
         # container field: ``self._xs[k] = v`` writes ``_xs``.
-        for target in self._assign_targets(root):
+        for target in assign_targets(root):
             base = target
             while isinstance(base, ast.Subscript):
                 base = base.value
@@ -532,16 +519,6 @@ class ConcurrencyAnalysis:
                         else "read")
                 self._record_attr_or_global(n, kind, hf, env)
             stack.extend(ast.iter_child_nodes(n))
-
-    @staticmethod
-    def _assign_targets(root: ast.AST) -> list:
-        if isinstance(root, ast.Assign):
-            return list(root.targets)
-        if isinstance(root, (ast.AugAssign, ast.AnnAssign)):
-            return [root.target]
-        if isinstance(root, ast.Delete):
-            return list(root.targets)
-        return []
 
     def _record_attr_or_global(self, n: ast.AST, kind: str, held: frozenset,
                                env: _ScanEnv, force: bool = False) -> None:
@@ -592,7 +569,7 @@ class ConcurrencyAnalysis:
         """Lock key of a ``with``-item (``with self._lock:``)."""
         if isinstance(expr, ast.Call):
             return None  # ``with stage(...)`` etc. — not a lock object
-        dotted = _dotted_text(expr)
+        dotted = dotted_name(expr)
         if dotted is None:
             return None
         key = self._sync_key(dotted, env)
@@ -603,7 +580,7 @@ class ConcurrencyAnalysis:
         prev = env.held_at_line.get(call.lineno)
         env.held_at_line[call.lineno] = (held if prev is None
                                          else prev & held)
-        dotted = _dotted_text(call.func)
+        dotted = dotted_name(call.func)
         if dotted is None:
             return
         expanded = _expand_alias(env.symbols, dotted)
@@ -659,7 +636,7 @@ class ConcurrencyAnalysis:
                 and isinstance(value.value, ast.Name)
                 and value.value.id == "self" and env.owner is not None):
             return self.graph._class_method(env.owner, value.attr)
-        dotted = _dotted_text(value)
+        dotted = dotted_name(value)
         if dotted is None:
             return None
         return self.graph.resolve_function(
@@ -698,19 +675,19 @@ class ConcurrencyAnalysis:
             ctx = ThreadContext(
                 name=f"thread:{_short(target)}", roots=(target,),
                 multi=False, isolated=False)
-            self._bfs(ctx)
+            self._discover(ctx)
             self.contexts[ctx.name] = ctx
         for target in sorted(process_targets):
             ctx = ThreadContext(
                 name=f"process:{_short(target)}", roots=(target,),
                 multi=True, isolated=True)
-            self._bfs(ctx)
+            self._discover(ctx)
             self.contexts[ctx.name] = ctx
         if entries and thread_targets:
             ctx = ThreadContext(
                 name="callers", roots=tuple(sorted(entries)),
                 multi=True, isolated=False)
-            self._bfs(ctx)
+            self._discover(ctx)
             self.contexts[ctx.name] = ctx
 
     def _entry_names(self, name: str) -> set[str]:
@@ -730,18 +707,20 @@ class ConcurrencyAnalysis:
         return {q for m, q in node.methods.items()
                 if not m.startswith("_") and q not in serialized}
 
-    def _bfs(self, ctx: ThreadContext) -> None:
-        stack = [r for r in ctx.roots if r in self.graph.functions]
-        ctx.reach.update(stack)
-        for r in stack:
-            ctx.parent[r] = None
-        while stack:
-            q = stack.pop()
-            for callee in sorted(self.graph.functions[q].calls):
-                if callee not in ctx.parent:
-                    ctx.parent[callee] = q
-                    ctx.reach.add(callee)
-                    stack.append(callee)
+    def _discover(self, ctx: ThreadContext) -> None:
+        """Reachability from the context's roots; the discovery tree
+        (``ctx.parent``) records one shortest chain per function."""
+        roots = [r for r in ctx.roots if r in self.graph.functions]
+        ctx.parent = dict.fromkeys(roots)
+
+        def visit(q: str) -> list[str]:
+            found = [c for c in sorted(self.graph.functions[q].calls)
+                     if c not in ctx.parent]
+            ctx.parent.update(dict.fromkeys(found, q))
+            return found
+
+        solve_worklist(roots, visit)
+        ctx.reach = set(ctx.parent)
 
     # -- interprocedural lock fixpoints ---------------------------------------
     def _fixpoints(self) -> None:
@@ -753,40 +732,50 @@ class ConcurrencyAnalysis:
                          if r in self.graph.functions)
         self._participating = participating
         incoming: dict[str, list] = {}
+        callees: dict[str, set] = {}
         for q in sorted(participating):
             for callee, held, _ln in self.summaries[q].call_sites:
                 if callee in participating:
                     incoming.setdefault(callee, []).append((q, held))
+                    callees.setdefault(q, set()).add(callee)
+        inner = participating - roots
+
+        def solve(values: dict, transfer) -> None:
+            """Re-evaluate ``transfer`` until stable; a change re-queues
+            the function's callees (their incoming values moved)."""
+            def visit(q: str) -> set:
+                new = transfer(q)
+                if new == values[q]:
+                    return set()
+                values[q] = new
+                return callees.get(q, set()) & inner
+
+            solve_worklist(inner, visit)
 
         # MustHeld: descending intersection; None is the ⊤ start value.
         must: dict[str, frozenset | None] = {
             q: (frozenset() if q in roots else None) for q in participating}
-        changed = True
-        while changed:
-            changed = False
-            for q in sorted(participating - roots):
-                vals = [must[caller] | held
-                        for caller, held in incoming.get(q, ())
-                        if must[caller] is not None]
-                new = frozenset.intersection(*vals) if vals else must[q]
-                if new != must[q]:
-                    must[q] = new
-                    changed = True
+
+        def meet(q: str) -> frozenset | None:
+            vals = [must[caller] | held
+                    for caller, held in incoming.get(q, ())
+                    if must[caller] is not None]
+            return frozenset.intersection(*vals) if vals else must[q]
+
+        solve(must, meet)
         self.must = {q: (m if m is not None else frozenset())
                      for q, m in must.items()}
 
         # MayHeld: ascending union (lock-order edges need an upper bound).
         may: dict[str, frozenset] = {q: frozenset() for q in participating}
-        changed = True
-        while changed:
-            changed = False
-            for q in sorted(participating - roots):
-                acc = may[q]
-                for caller, held in incoming.get(q, ()):
-                    acc = acc | may[caller] | held
-                if acc != may[q]:
-                    may[q] = acc
-                    changed = True
+
+        def join(q: str) -> frozenset:
+            acc = may[q]
+            for caller, held in incoming.get(q, ()):
+                acc = acc | may[caller] | held
+            return acc
+
+        solve(may, join)
         self.may = may
 
     def effective_locks(self, access: Access) -> frozenset:
@@ -956,61 +945,30 @@ class ConcurrencyAnalysis:
                 for h in sorted(base | acq.held):
                     if h != acq.lock:
                         self.order_edges.setdefault((h, acq.lock), acq)
-        # Tarjan SCC over the lock nodes: any SCC with >1 node (or a
-        # self-edge) is an ordering cycle.
-        adj: dict[str, list] = {}
+        # A lock on a cycle reaches itself; its cycle (strongly connected
+        # component) is every lock it reaches that reaches it back.
+        adj: dict[str, set] = {}
         for (a, b) in self.order_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, [])
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        counter = [0]
-        sccs: list[list] = []
-
-        def strongconnect(v: str) -> None:
-            work = [(v, iter(sorted(adj[v])))]
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(sorted(adj[w]))))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[node] = min(low[node], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    scc = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        scc.append(w)
-                        if w == node:
-                            break
-                    sccs.append(sorted(scc))
-
-        for v in sorted(adj):
-            if v not in index:
-                strongconnect(v)
-        for scc in sccs:
-            if len(scc) > 1 or (scc[0], scc[0]) in self.order_edges:
+            adj.setdefault(a, set()).add(b)
+        reach = {lock: self._reachable(adj, lock) for lock in adj}
+        for lock in sorted(reach):
+            if lock not in reach[lock]:
+                continue
+            scc = sorted(w for w in reach[lock] if lock in reach.get(w, ()))
+            if scc not in self.order_cycles:
                 self.order_cycles.append(scc)
+
+    @staticmethod
+    def _reachable(adj: dict[str, set], start: str) -> set:
+        seen: set = set()
+
+        def visit(node: str) -> list:
+            new = sorted(adj.get(node, set()) - seen)
+            seen.update(new)
+            return new
+
+        solve_worklist([start], visit)
+        return seen
 
     # -- finding producers (consumed by the registered checkers) -------------
     def lockset_findings(self) -> Iterator[Finding]:
@@ -1068,7 +1026,7 @@ class ConcurrencyAnalysis:
                                  f"second lock held starves its users"))
             for dotted, held, lineno in s.blocking:
                 yield Finding(
-                    path=s_path(self.graph, q), line=lineno, col=1,
+                    path=self.graph.functions[q].path, line=lineno, col=1,
                     rule_id="RPR016",
                     message=(f"blocking call {dotted}() in {_short(q)} "
                              f"while holding {_fmt_locks(held)}"))
@@ -1098,7 +1056,7 @@ class ConcurrencyAnalysis:
                 reported.add((q, callee, eff))
                 chain = self.effects.effect_chain(callee, eff)
                 yield Finding(
-                    path=s_path(self.graph, q), line=lineno, col=1,
+                    path=self.graph.functions[q].path, line=lineno, col=1,
                     rule_id="RPR016",
                     message=(f"call under {_fmt_locks(locks)} in "
                              f"{_short(q)} carries effect {eff!r} via "
@@ -1119,7 +1077,6 @@ class ConcurrencyAnalysis:
                 entry["declared"] = verdict["declared"]
             fields[key] = entry
         return {
-            "version": SNAPSHOT_VERSION,
             "root": self.graph.root_package,
             "contexts": {
                 ctx.name: {
@@ -1139,87 +1096,22 @@ class ConcurrencyAnalysis:
         }
 
 
-def s_path(graph: CallGraph, qname: str) -> str:
-    return graph.functions[qname].path
+# -- the registered checkers --------------------------------------------------
+class _RaceChecker(ProjectChecker):
+    """Base of RPR014-016: runs on any file set, with or without a
+    policy (policy names that do not resolve in a fixture tree are
+    inert; ``repro races check`` validates them on the real tree)."""
 
+    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
+        return bool(contexts)
 
-# -- snapshot I/O (mirrors repro.analysis.effects) ---------------------------
-def write_snapshot(analysis: ConcurrencyAnalysis,
-                   path: str | Path = DEFAULT_SNAPSHOT) -> dict:
-    payload = analysis.snapshot_payload()
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n")
-    return payload
-
-
-def load_snapshot(path: str | Path = DEFAULT_SNAPSHOT) -> dict:
-    return json.loads(Path(path).read_text())
-
-
-def _snapshot_lines(payload: dict) -> set[str]:
-    lines: set[str] = set()
-    for key, entry in payload.get("fields", {}).items():
-        tail = entry.get("locks") or entry.get("guard") \
-            or entry.get("declared") or ""
-        if isinstance(tail, list):
-            tail = ",".join(tail)
-        lines.add(f"field {key}: {entry.get('verdict')}"
-                  + (f" [{tail}]" if tail else ""))
-    for edge in payload.get("lock_order", []):
-        lines.add(f"order {edge}")
-    for name, ctx in payload.get("contexts", {}).items():
-        lines.add(f"context {name}: roots={len(ctx.get('roots', []))}")
-    return lines
-
-
-def diff_snapshots(old: dict, new: dict) -> tuple[list, list]:
-    """``(added, removed)`` human lines; additions block CI."""
-    old_lines = _snapshot_lines(old)
-    new_lines = _snapshot_lines(new)
-    return (sorted(new_lines - old_lines), sorted(old_lines - new_lines))
-
-
-# -- shared per-run state and the registered checkers ------------------------
-_CONC_ATTR = "_repro_conc_state"
-
-
-def conc_state(contexts: Sequence[ModuleContext]) -> ConcurrencyAnalysis \
-        | None:
-    """One :class:`ConcurrencyAnalysis` per checker run (cached on the
-    first context object keyed by :func:`run_state_key`, like the
-    arch-policy project state — memoized ASTs let an unchanged tree
-    reuse the whole fixpoint across runs).
-
-    Unlike the arch rules this does *not* scope-filter to the policy
-    tree: fixtures and scratch trees get their thread roots discovered
-    with no policy needed; policy names that do not resolve in the
-    analyzed graph are simply inert (``repro races check`` validates
-    them against the real tree).
-    """
-    if not contexts:
-        return None
-    key = run_state_key(contexts)
-    cached = getattr(contexts[0], _CONC_ATTR, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    policy = None
-    policy_file = Path(DEFAULT_POLICY)
-    if policy_file.is_file():
-        policy = load_policy(policy_file)
-    graph = build_callgraph(
-        contexts,
-        root_package=policy.root if policy is not None else "repro")
-    absorb = dict(DEFAULT_ABSORB)
-    if policy is not None:
-        absorb["alloc"] = tuple(policy.arena)
-    effects = EffectAnalysis(graph, absorb=absorb)
-    analysis = ConcurrencyAnalysis(graph, effects, policy)
-    setattr(contexts[0], _CONC_ATTR, (key, analysis))
-    return analysis
+    def check_project(self,
+                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
+        return self.findings(program_for(contexts).concurrency)
 
 
 @register_checker
-class SharedStateLocksetChecker(ProjectChecker):
+class SharedStateLocksetChecker(_RaceChecker):
     """RPR014: racy shared state needs a common lockset (or a waiver)."""
 
     rule_id = "RPR014"
@@ -1227,36 +1119,24 @@ class SharedStateLocksetChecker(ProjectChecker):
              "code needs a non-empty common lockset, a [[lock]] guards "
              "declaration, or '# guarded-by: <target> -- <reason>'")
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return bool(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        conc = conc_state(contexts)
-        if conc is not None:
-            yield from conc.lockset_findings()
+    def findings(self, conc: ConcurrencyAnalysis) -> Iterator[Finding]:
+        return conc.lockset_findings()
 
 
 @register_checker
-class LockOrderChecker(ProjectChecker):
+class LockOrderChecker(_RaceChecker):
     """RPR015: the lock-acquisition graph must stay acyclic."""
 
     rule_id = "RPR015"
     title = ("lock-order-discipline: nested acquisitions must form a DAG "
              "(cycles are potential deadlocks)")
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return bool(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        conc = conc_state(contexts)
-        if conc is not None:
-            yield from conc.order_findings()
+    def findings(self, conc: ConcurrencyAnalysis) -> Iterator[Finding]:
+        return conc.order_findings()
 
 
 @register_checker
-class WaitDisciplineChecker(ProjectChecker):
+class WaitDisciplineChecker(_RaceChecker):
     """RPR016: predicate-loop waits; no blocking/effectful work under
     a lock."""
 
@@ -1265,11 +1145,5 @@ class WaitDisciplineChecker(ProjectChecker):
              "no blocking or io/process-effectful calls (plus per-lock "
              "forbid extras) while holding a lock")
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return bool(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        conc = conc_state(contexts)
-        if conc is not None:
-            yield from conc.wait_findings()
+    def findings(self, conc: ConcurrencyAnalysis) -> Iterator[Finding]:
+        return conc.wait_findings()

@@ -29,11 +29,9 @@ f32/f64 width may differ (that width difference IS the backend
 distinction).  A kernel that declares a contract on one side only is
 flagged too: an undeclared twin silently escapes the runtime checks.
 
-A third arm ties the DSE to the registry: space.py's static
-``KERNEL_BACKEND_CHOICES`` tuple (the ``kernel_backend`` categorical
-dimension) must name exactly the always-registered backends extracted
-from registry.py — a sampled choice the registry cannot construct would
-crash the exploration, and an unexplored backend pins the axis.
+The DSE's ``kernel_backend`` dimension needs no arm of its own: space.py
+builds its choices from ``kernel_backend_names()``, so it names exactly
+the registered backends by construction.
 """
 
 from __future__ import annotations
@@ -42,10 +40,16 @@ import ast
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .callgraph import CallGraph, build_callgraph, module_name_for
-from .contracts import ContractError, parse_contract
+from ..contracts import ContractError, parse_contract
+from .callgraph import CallGraph, module_name_for
 from .findings import Finding
-from .framework import ModuleContext, ProjectChecker, register_checker
+from .framework import (
+    ModuleContext,
+    ProjectChecker,
+    dotted_name,
+    register_checker,
+)
+from .program import program_for
 
 PARAMS_SUFFIX = ("kfusion", "params.py")
 SPACE_SUFFIX = ("hypermapper", "space.py")
@@ -74,8 +78,13 @@ class SpecInfo:
     lineno: int
 
 
-def _ends_with(path_parts: Sequence[str], suffix: Sequence[str]) -> bool:
-    return tuple(path_parts[-len(suffix):]) == tuple(suffix)
+def find_context(contexts: Sequence[ModuleContext],
+                 suffix: Sequence[str]) -> ModuleContext | None:
+    """The first context whose path ends with ``suffix`` parts."""
+    for ctx in contexts:
+        if tuple(ctx.path_parts[-len(suffix):]) == tuple(suffix):
+            return ctx
+    return None
 
 
 def _literal(node: ast.AST, defaults: dict) -> object:
@@ -271,18 +280,6 @@ def compare_space_and_consumer(
 
 # -- backend arm: fast vs reference kernel @contract declarations ----------
 
-def _dotted(node: ast.AST) -> str | None:
-    """Best-effort dotted text of a ``Name``/``Attribute`` chain."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def extract_contract_decls(func: ast.AST) -> dict[str, str] | None:
     """``{param: spec}`` from a ``@contract(...)`` decorator, else None."""
     for dec in getattr(func, "decorator_list", []):
@@ -322,34 +319,10 @@ def extract_kernel_backends(
             if kw.arg == "name" and isinstance(kw.value, ast.Constant):
                 name = kw.value.value
             elif kw.arg in BACKEND_SLOTS:
-                slots[kw.arg] = (_dotted(kw.value), kw.value.lineno)
+                slots[kw.arg] = (dotted_name(kw.value), kw.value.lineno)
         if isinstance(name, str):
             out[name] = (node.lineno, slots)
     return out
-
-
-def extract_kernel_backend_choices(
-        tree: ast.Module) -> tuple[tuple, int] | None:
-    """``(choices, lineno)`` from space.py's ``KERNEL_BACKEND_CHOICES``.
-
-    The design-space dimension is a static tuple literal precisely so
-    this cross-check needs no imports; an unreadable declaration returns
-    ``None`` and the caller reports the contract unverifiable.
-    """
-    for node in tree.body:
-        if not (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name)
-                        and t.id == "KERNEL_BACKEND_CHOICES"
-                        for t in node.targets)):
-            continue
-        try:
-            value = ast.literal_eval(node.value)
-        except (ValueError, SyntaxError):
-            return None
-        if isinstance(value, tuple):
-            return value, node.lineno
-        return None
-    return None
 
 
 def resolve_backend_kernel(graph: CallGraph, qname: str,
@@ -377,6 +350,33 @@ def resolve_backend_kernel(graph: CallGraph, qname: str,
         return resolve_backend_kernel(graph, next(iter(node.calls)),
                                       _depth + 1)
     return qname
+
+
+def resolve_backends(graph: CallGraph, registry_ctx: ModuleContext
+                     ) -> dict[str, dict[str, tuple]]:
+    """``{backend: {slot: (kernel_qname, {param: spec} | None, lineno)}}``.
+
+    Every ``KernelBackend(...)`` literal in the registry module is read
+    statically; slot callables are resolved through the call graph with
+    trivial adapters unwrapped (:func:`resolve_backend_kernel`).  A slot
+    that does not resolve keeps ``kernel_qname`` ``None``.
+    """
+    module = module_name_for(registry_ctx.path, graph.root_package)
+    out: dict[str, dict[str, tuple]] = {}
+    for name, (_lineno, slots) in extract_kernel_backends(
+            registry_ctx.tree).items():
+        resolved = out[name] = {}
+        for slot, (dotted, lineno) in slots.items():
+            qname = decls = None
+            if dotted is not None and module is not None:
+                qname = graph.resolve_function(f"{module}.{dotted}")
+            if qname is not None:
+                qname = resolve_backend_kernel(graph, qname)
+                node = graph.functions[qname].ast_node
+                if node is not None:
+                    decls = extract_contract_decls(node)
+            resolved[slot] = (qname, decls, lineno)
+    return out
 
 
 def compare_backend_contracts(
@@ -469,37 +469,18 @@ class DesignSpaceConsistencyChecker(ProjectChecker):
              "== DEFAULTS, defaults in bounds, every knob consumed; kernel "
              "backends declare matching @contract shapes")
 
-    def _params_ctx(self, contexts) -> ModuleContext | None:
-        for ctx in contexts:
-            if _ends_with(ctx.path_parts, PARAMS_SUFFIX):
-                return ctx
-        return None
-
-    def _space_ctx(self, contexts) -> ModuleContext | None:
-        for ctx in contexts:
-            if _ends_with(ctx.path_parts, SPACE_SUFFIX):
-                return ctx
-        return None
-
-    def _registry_ctx(self, contexts) -> ModuleContext | None:
-        for ctx in contexts:
-            if _ends_with(ctx.path_parts, REGISTRY_SUFFIX):
-                return ctx
-        return None
-
     def applies(self, contexts) -> bool:
-        return ((self._params_ctx(contexts) is not None
-                 and self._space_ctx(contexts) is not None)
-                or self._registry_ctx(contexts) is not None)
+        return ((find_context(contexts, PARAMS_SUFFIX) is not None
+                 and find_context(contexts, SPACE_SUFFIX) is not None)
+                or find_context(contexts, REGISTRY_SUFFIX) is not None)
 
     def check_project(self, contexts) -> Iterator[Finding]:
         yield from self._check_design_space(contexts)
         yield from self._check_backend_contracts(contexts)
-        yield from self._check_backend_choices(contexts)
 
     def _check_design_space(self, contexts) -> Iterator[Finding]:
-        params_ctx = self._params_ctx(contexts)
-        space_ctx = self._space_ctx(contexts)
+        params_ctx = find_context(contexts, PARAMS_SUFFIX)
+        space_ctx = find_context(contexts, SPACE_SUFFIX)
         if params_ctx is None or space_ctx is None:
             return
 
@@ -539,84 +520,20 @@ class DesignSpaceConsistencyChecker(ProjectChecker):
             )
 
     def _check_backend_contracts(self, contexts) -> Iterator[Finding]:
-        registry_ctx = self._registry_ctx(contexts)
+        registry_ctx = find_context(contexts, REGISTRY_SUFFIX)
         if registry_ctx is None:
             return
-        backends = extract_kernel_backends(registry_ctx.tree)
+        backends = resolve_backends(program_for(contexts).graph, registry_ctx)
         reference = backends.pop(REFERENCE_BACKEND_NAME, None)
-        if reference is None or not backends:
+        if reference is None:
             return  # nothing to cross-check against
-        graph = build_callgraph(contexts)
-        registry_module = module_name_for(registry_ctx.path,
-                                          graph.root_package)
-        if registry_module is None:
-            return
-
-        def resolve_slots(slots: dict[str, tuple]) -> dict[str, tuple]:
-            resolved = {}
-            for slot, (dotted, lineno) in slots.items():
-                qname = decls = None
-                if dotted is not None:
-                    qname = graph.resolve_function(
-                        f"{registry_module}.{dotted}")
-                if qname is not None:
-                    qname = resolve_backend_kernel(graph, qname)
-                    node = graph.functions[qname].ast_node
-                    if node is not None:
-                        decls = extract_contract_decls(node)
-                resolved[slot] = (qname, decls, lineno)
-            return resolved
-
-        reference_resolved = resolve_slots(reference[1])
         for name in sorted(backends):
             for lineno, message in compare_backend_contracts(
-                    reference_resolved, resolve_slots(backends[name][1]),
-                    name):
+                    reference, backends[name], name):
                 yield Finding(
                     path=registry_ctx.path, line=lineno, col=1,
                     rule_id=self.rule_id, message=message,
                 )
-
-    def _check_backend_choices(self, contexts) -> Iterator[Finding]:
-        """The kernel_backend dimension must name exactly the registered
-        always-on backends — a choice the registry does not construct
-        would crash every exploration that samples it, and a backend
-        missing from the choices silently pins the sparsity axis."""
-        space_ctx = self._space_ctx(contexts)
-        registry_ctx = self._registry_ctx(contexts)
-        if space_ctx is None or registry_ctx is None:
-            return
-        extracted = extract_kernel_backend_choices(space_ctx.tree)
-        registered = set(extract_kernel_backends(registry_ctx.tree))
-        if not registered:
-            return  # backend arm already reports an empty registry
-        if extracted is None:
-            yield Finding(
-                path=space_ctx.path, line=1, col=1, rule_id=self.rule_id,
-                message=("KERNEL_BACKEND_CHOICES is missing or not a "
-                         "static tuple literal — the kernel_backend "
-                         "design-space dimension is unverifiable against "
-                         "the registry"),
-            )
-            return
-        choices, lineno = extracted
-        if set(choices) != registered:
-            only_space = sorted(set(choices) - registered)
-            only_registry = sorted(registered - set(choices))
-            detail = "; ".join(
-                f"only in {where}: {', '.join(names)}"
-                for where, names in (("space", only_space),
-                                     ("registry", only_registry))
-                if names
-            )
-            yield Finding(
-                path=space_ctx.path, line=lineno, col=1,
-                rule_id=self.rule_id,
-                message=(f"KERNEL_BACKEND_CHOICES disagrees with the "
-                         f"KernelBackend declarations in perf/registry.py "
-                         f"({detail}) — the explored backend dimension "
-                         f"must match the registered backends"),
-            )
 
     @staticmethod
     def _space_delegates(space_ctx: ModuleContext) -> bool:

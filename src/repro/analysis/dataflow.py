@@ -6,7 +6,7 @@ every registered graph definition, without executing a frame:
 
 =======  ==============================================================
 RPR011   shape-dtype-unification: every port contract parses under the
-         :mod:`repro.analysis.contracts` grammar and the symbolic dims
+         :mod:`repro.contracts` grammar and the symbolic dims
          (``H``, ``W``, ``r``, ``N``...) unify along edges across the
          whole graph; an unsatisfiable labeling reports the full
          constraint chain that forces the conflict
@@ -23,12 +23,9 @@ RPR013   arena-liveness: the declared arena regions (writer stage,
          lifetime writes, and dead budget are findings
 =======  ==============================================================
 
-Port contracts extend the array-contract grammar with a tag::
-
-    tag                     an opaque value (``"track.converged"``)
-    tag(H,W:f32)            an array of that shape/dtype
-    tag([H,W,3:f32])        a pyramid (list of arrays); the spec
-                            describes the finest level
+Port contracts (:func:`repro.contracts.parse_port_contract`) extend
+the array-contract grammar with a tag: ``tag``, ``tag(H,W:f32)``, or
+the pyramid form ``tag([H,W,3:f32])``.
 
 Symbolic dims are scoped to one *node*: ``H`` in two ports of the same
 node is the same unknown, ``H`` in two different nodes is related only
@@ -49,126 +46,36 @@ works, which is also what the unit tests exploit).
 from __future__ import annotations
 
 import ast
-import re
 from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
-from .callgraph import CallGraph, build_callgraph, iter_own_nodes
+from ..contracts import (
+    ArraySpec,
+    ContractError,
+    PortContract,
+    format_port_contract,
+    parse_contract,
+    parse_port_contract,
+    port_contract_mismatch,
+)
+from .callgraph import CallGraph, iter_own_nodes, solve_worklist
 from .consistency import (
     BACKEND_SLOTS,
+    REGISTRY_SUFFIX,
     extract_contract_decls,
-    extract_kernel_backends,
-    resolve_backend_kernel,
+    find_context,
+    resolve_backends,
 )
-from .contracts import ArraySpec, ContractError, format_contract, parse_contract
 from .findings import Finding, Severity
-from .framework import ModuleContext, _suppressed
+from .framework import ModuleContext
+from .lint import internal_errors, report_findings
+from .program import load_program, program_for
 
 #: Rule ids this verifier owns.
 RULE_UNIFICATION = "RPR011"
 RULE_KERNEL_CONTRACTS = "RPR012"
 RULE_ARENA_LIVENESS = "RPR013"
-
-#: Suffix locating the kernel-backend registry module among the contexts.
-_REGISTRY_SUFFIX = ("perf", "registry.py")
-
-_TAG_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$")
-
-
-# -- the port-contract grammar ----------------------------------------------
-
-@dataclass(frozen=True)
-class PortContract:
-    """A parsed port contract: a tag, optionally carrying an array spec.
-
-    Attributes:
-        tag: the dotted value tag (``"depth.map"``).
-        spec: the array shape/dtype, or ``None`` for an opaque tag.
-        pyramid: the port carries a *list* of arrays (``tag([...])``);
-            ``spec`` then describes the finest level.
-        text: the original contract string.
-    """
-
-    tag: str
-    spec: ArraySpec | None
-    pyramid: bool
-    text: str
-
-
-def parse_port_contract(text: str) -> PortContract:
-    """Parse ``"tag"`` / ``"tag(H,W:f32)"`` / ``"tag([H,W,3:f32])"``."""
-    if not isinstance(text, str) or not text.strip():
-        raise ContractError(
-            f"port contract must be a non-empty string, got {text!r}"
-        )
-    s = text.strip()
-    spec = None
-    pyramid = False
-    if s.endswith(")"):
-        open_paren = s.find("(")
-        if open_paren < 0:
-            raise ContractError(
-                f"port contract {text!r}: ')' without a matching '('"
-            )
-        inner = s[open_paren + 1:-1].strip()
-        s = s[:open_paren].strip()
-        if inner.startswith("[") and inner.endswith("]"):
-            pyramid = True
-            inner = inner[1:-1].strip()
-        if not inner:
-            raise ContractError(
-                f"port contract {text!r}: empty array spec"
-            )
-        spec = parse_contract(inner)
-    if not _TAG_RE.match(s):
-        raise ContractError(
-            f"port contract {text!r}: bad tag {s!r} (expected dotted "
-            f"identifiers, e.g. 'depth.map')"
-        )
-    return PortContract(tag=s, spec=spec, pyramid=pyramid, text=text)
-
-
-def format_port_contract(pc: PortContract) -> str:
-    """Canonical spelling (idempotent; whitespace/alias variants collapse)."""
-    if pc.spec is None:
-        return pc.tag
-    inner = format_contract(pc.spec)
-    return f"{pc.tag}([{inner}])" if pc.pyramid else f"{pc.tag}({inner})"
-
-
-def port_contract_mismatch(src: PortContract,
-                           dst: PortContract) -> str | None:
-    """Why two contracts cannot share an edge, or ``None`` if they can.
-
-    Semantic comparison, not spelling: whitespace and dtype-alias
-    variants are equal, and a symbolic dim is compatible with anything
-    in its position (``repro dataflow check`` unifies symbols across the
-    whole graph — RPR011 — which a single edge cannot).  Everything
-    declared concretely must agree: tag, pyramid-ness, rank, dtype, and
-    integer dims.
-    """
-    if src.tag != dst.tag:
-        return f"tag {src.tag!r} != {dst.tag!r}"
-    if (src.spec is None) != (dst.spec is None):
-        return ("one end declares an array spec, the other is an "
-                "opaque tag")
-    if src.spec is None or dst.spec is None:
-        return None
-    if src.pyramid != dst.pyramid:
-        return "one end is a pyramid ([...]), the other a single array"
-    a, b = src.spec, dst.spec
-    if a.ellipsis_leading != b.ellipsis_leading:
-        return "leading '...' differs"
-    if len(a.dims) != len(b.dims):
-        return f"rank {len(a.dims)} != {len(b.dims)}"
-    if a.dtype != b.dtype:
-        return f"dtype {a.dtype or 'any'} != {b.dtype or 'any'}"
-    for i, (x, y) in enumerate(zip(a.dims, b.dims)):
-        if isinstance(x, int) and isinstance(y, int) and x != y:
-            return f"dim {i}: {x} != {y}"
-    return None
 
 
 # -- graph inputs ------------------------------------------------------------
@@ -315,8 +222,10 @@ def _term_label(term: tuple) -> str:
     return f"{term[1]}:{term[2]}"
 
 
-def unify_graph(graph: GraphUnderCheck) -> list[Finding]:
-    """RPR011: parse every port contract and unify dims along all edges."""
+def _unify(graph: GraphUnderCheck
+           ) -> tuple[_Unifier, dict[tuple[str, str], PortContract],
+                      list[Finding]]:
+    """Parse every port contract and unify dims along all edges."""
     findings: list[Finding] = []
     parsed = _parse_graph_ports(graph, findings)
     name = graph.spec.name
@@ -363,25 +272,17 @@ def unify_graph(graph: GraphUnderCheck) -> list[Finding]:
                 f"{_term_label(ta)} = {va} conflicts with "
                 f"{_term_label(tb)} = {vb} via {'; '.join(chain)}",
             ))
-    return findings
+    return unifier, parsed, findings
+
+
+def unify_graph(graph: GraphUnderCheck) -> list[Finding]:
+    """RPR011: parse every port contract and unify dims along all edges."""
+    return _unify(graph)[2]
 
 
 def solved_dims(graph: GraphUnderCheck) -> dict[str, dict[str, int]]:
     """``{node: {symbol: value}}`` for symbols unification pins to ints."""
-    findings: list[Finding] = []
-    parsed = _parse_graph_ports(graph, findings)
-    unifier = _Unifier()
-    for edge in graph.spec.edges:
-        src = parsed.get((edge.src, edge.src_port))
-        dst = parsed.get((edge.dst, edge.dst_port))
-        if (src is None or dst is None or src.spec is None
-                or dst.spec is None
-                or len(src.spec.dims) != len(dst.spec.dims)):
-            continue
-        for i, (ts, td) in enumerate(zip(src.spec.dims, dst.spec.dims)):
-            unifier.union(_dim_term(edge.src, edge.src_port, i, ts),
-                          _dim_term(edge.dst, edge.dst_port, i, td),
-                          f"{edge.label} (dim {i})")
+    unifier, parsed, _ = _unify(graph)
     out: dict[str, dict[str, int]] = {}
     for (node, _port), pc in parsed.items():
         if pc.spec is None:
@@ -409,47 +310,26 @@ class KernelContractInfo:
 def resolve_slot_kernels(
     contexts: Sequence[ModuleContext], callgraph: CallGraph,
 ) -> dict[str, list[KernelContractInfo]]:
-    """``{slot: [kernel info per backend]}`` from the registry module.
+    """``{slot: [kernel info per backend]}`` from the registry module,
+    resolved exactly as RPR004's backend arm does
+    (:func:`~repro.analysis.consistency.resolve_backends`).
 
-    Every ``KernelBackend(...)`` literal in ``perf/registry.py`` is read
-    statically; slot callables are resolved through the call graph with
-    trivial adapters unwrapped (:func:`resolve_backend_kernel`), exactly
-    as RPR004's backend arm does.
+    Kernels without ``@contract`` stay in the table with empty decls:
+    RPR012 has nothing to compare for them, but RPR013 still needs them
+    reachable for buffer-reference collection.
     """
-    registry_ctx = None
-    for ctx in contexts:
-        parts = tuple(ctx.path_parts)
-        if parts[-len(_REGISTRY_SUFFIX):] == _REGISTRY_SUFFIX:
-            registry_ctx = ctx
-            break
+    registry_ctx = find_context(contexts, REGISTRY_SUFFIX)
     if registry_ctx is None:
         return {}
-    registry_module = None
-    for module, path in callgraph.modules.items():
-        if path == registry_ctx.path:
-            registry_module = module
-            break
-    if registry_module is None:
-        return {}
     out: dict[str, list[KernelContractInfo]] = {}
-    for backend, (_lineno, slots) in sorted(
-            extract_kernel_backends(registry_ctx.tree).items()):
-        for slot, (dotted, _line) in slots.items():
-            if dotted is None:
+    for backend, slots in sorted(
+            resolve_backends(callgraph, registry_ctx).items()):
+        for slot, (qname, decls, _line) in slots.items():
+            if qname is None or callgraph.functions[qname].ast_node is None:
                 continue
-            qname = callgraph.resolve_function(f"{registry_module}.{dotted}")
-            if qname is None:
-                continue
-            qname = resolve_backend_kernel(callgraph, qname)
-            node = callgraph.functions.get(qname)
-            if node is None or node.ast_node is None:
-                continue
-            # Kernels without @contract stay in the table with empty
-            # decls: RPR012 has nothing to compare for them, but RPR013
-            # still needs them reachable for buffer-reference collection.
-            decls = extract_contract_decls(node.ast_node) or {}
             out.setdefault(slot, []).append(KernelContractInfo(
-                label=f"backend {backend!r}", qname=qname, decls=decls))
+                label=f"backend {backend!r}", qname=qname,
+                decls=decls or {}))
     return out
 
 
@@ -626,7 +506,7 @@ def collect_buffer_refs(
 ) -> dict[str, list[BufferRef]]:
     """Arena buffer references reachable from each stage body.
 
-    BFS over the static call graph starting at the stage body, with
+    Reachability over the static call graph from the stage body, with
     kernel-backend slot calls (``ctx.backend.integrate(...)`` — opaque
     to the call graph) expanded to every registered backend's resolved
     kernel, so the fast path's ``ws.buffer("int_x", ...)`` sites are
@@ -640,21 +520,19 @@ def collect_buffer_refs(
             continue
         refs: list[BufferRef] = []
         seen = {qname}
-        frontier = deque([qname])
-        while frontier:
-            current = frontier.popleft()
+
+        def visit(current: str) -> set[str]:
             fn = callgraph.functions.get(current)
             if fn is None or fn.ast_node is None:
-                continue
+                return set()
             refs.extend(_buffer_refs_in(fn.ast_node, current))
-            nexts: list[str] = sorted(fn.calls)
-            for slot in _slots_called(fn.ast_node):
-                nexts.extend(info.qname
-                             for info in slot_kernels.get(slot, ()))
-            for target in nexts:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
+            found = set(fn.calls).union(
+                info.qname for slot in _slots_called(fn.ast_node)
+                for info in slot_kernels.get(slot, ())) - seen
+            seen.update(found)
+            return found
+
+        solve_worklist([qname], visit)
         out[node] = refs
     return out
 
@@ -836,7 +714,7 @@ def check_graphs(
     callgraph = None
     slot_kernels: dict[str, list[KernelContractInfo]] = {}
     if contexts:
-        callgraph = build_callgraph(contexts)
+        callgraph = program_for(contexts).graph
         slot_kernels = resolve_slot_kernels(contexts, callgraph)
     for graph in graphs:
         findings.extend(unify_graph(graph))
@@ -891,46 +769,7 @@ def describe_graph(graph: GraphUnderCheck) -> dict:
     }
 
 
-def apply_noqa(findings: Iterable[Finding],
-               read_text: Callable[[str], str] | None = None
-               ) -> list[Finding]:
-    """Drop findings suppressed by ``# noqa`` comments in their files."""
-    if read_text is None:
-        def read_text(path: str) -> str:
-            return Path(path).read_text()
-    lines_cache: dict[str, list[str]] = {}
-    kept: list[Finding] = []
-    for finding in findings:
-        if finding.path not in lines_cache:
-            try:
-                lines_cache[finding.path] = read_text(
-                    finding.path).splitlines()
-            except OSError:
-                lines_cache[finding.path] = []
-        if not _suppressed(finding, lines_cache[finding.path]):
-            kept.append(finding)
-    return kept
-
-
-def parse_contexts(paths: Sequence[str]) -> list[ModuleContext]:
-    """Parse every first-party ``.py`` file under ``paths``.
-
-    Unparsable files are skipped here — ``repro lint`` owns reporting
-    them (RPR000); the dataflow verifier only needs whatever call-graph
-    context it can get.
-    """
-    from .framework import iter_python_files
-
-    contexts: list[ModuleContext] = []
-    for file in iter_python_files(paths):
-        try:
-            contexts.append(ModuleContext.parse(file.read_text(),
-                                                str(file)))
-        except (OSError, SyntaxError):
-            continue
-    return contexts
-
-
+@internal_errors("dataflow")
 def run_dataflow(
     graphs: Sequence[GraphUnderCheck],
     paths: Sequence[str],
@@ -942,42 +781,16 @@ def run_dataflow(
 ) -> int:
     """``repro dataflow check``: verify ``graphs``, report, exit-code.
 
-    Follows the lint contract — 0 clean, 1 findings, 2 internal error —
-    and the same suppression machinery: ``# noqa`` comments at a
-    finding's anchor line and the committed fingerprint baseline both
-    apply.  ``paths`` supply the static call-graph context (normally
-    ``src/repro``).  ``extra_findings`` lets the caller merge failures
-    it observed while *collecting* the graphs (a registered factory
-    that raised — the CI gate for uncompilable registry entries).
+    Shares ``repro lint``'s tail (:mod:`repro.analysis.lint`): ``# noqa``
+    comments at a finding's anchor line and the committed fingerprint
+    baseline both apply, and the exit codes are 0 clean, 1 findings,
+    2 internal error.  ``paths`` supply the static call-graph context
+    (normally ``src/repro``).  ``extra_findings`` lets the caller merge
+    failures it observed while *collecting* the graphs (a registered
+    factory that raised — the CI gate for uncompilable registry
+    entries).
     """
-    from ..errors import ReproError
-    from .baseline import apply_baseline, load_baseline
-    from .lint import (
-        LINT_EXIT_CLEAN,
-        LINT_EXIT_FINDINGS,
-        LINT_EXIT_INTERNAL,
-    )
-    from .reporters import format_json, format_text
-
-    import traceback
-
-    try:
-        contexts = parse_contexts(paths)
-        findings = sorted(
-            [*extra_findings, *check_graphs(graphs, contexts)],
-            key=Finding.sort_key,
-        )
-        findings = apply_noqa(findings)
-        suppressed = 0
-        if baseline_path and Path(baseline_path).is_file():
-            findings, suppressed = apply_baseline(
-                findings, load_baseline(baseline_path))
-        render = format_json if output_format == "json" else format_text
-        echo(render(findings, suppressed))
-        return LINT_EXIT_FINDINGS if findings else LINT_EXIT_CLEAN
-    except ReproError as exc:
-        echo(f"dataflow: internal error: {exc}")
-        return LINT_EXIT_INTERNAL
-    except Exception:
-        echo("dataflow: internal error:\n" + traceback.format_exc())
-        return LINT_EXIT_INTERNAL
+    contexts = load_program(paths).contexts
+    findings = [*extra_findings, *check_graphs(graphs, contexts)]
+    return report_findings(findings, output_format=output_format,
+                           baseline_path=baseline_path, echo=echo)

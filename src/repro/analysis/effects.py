@@ -1,7 +1,8 @@
 """Whole-program effect inference over the call graph.
 
 Every function in the :class:`~repro.analysis.callgraph.CallGraph` gets
-an **effect set** drawn from a small fixed vocabulary:
+an **effect set** drawn from a small fixed vocabulary
+(:data:`repro.contracts.EFFECTS`, plus ``raises(T)``):
 
 ``time``
     reads a wall/process clock (the RPR001 ``BANNED_CLOCKS`` patterns).
@@ -27,10 +28,12 @@ an **effect set** drawn from a small fixed vocabulary:
 Effects are **seeded** from intrinsic AST patterns (the same pattern
 tables the per-file rules RPR001/2/6 use, so the two views cannot
 drift), then **propagated** caller <- callee to a deterministic
-fixpoint.  Three owner packages *absorb* the effect they exist to
-encapsulate — ``repro.telemetry`` absorbs ``time``, ``repro.jobs``
-absorbs ``process``, the workspace arena absorbs ``alloc`` — so a
-kernel that times itself *through telemetry* is clean while one calling
+fixpoint by the shared worklist solver
+(:func:`~repro.analysis.callgraph.solve_worklist`).  Three owner
+packages *absorb* the effect they exist to encapsulate —
+``repro.telemetry`` absorbs ``time``, ``repro.jobs`` absorbs
+``process``, the workspace arena absorbs ``alloc`` — so a kernel that
+times itself *through telemetry* is clean while one calling
 ``time.time()`` directly is not.
 
 For every propagated effect the engine keeps one ``via`` pointer per
@@ -46,20 +49,20 @@ effect at source with a documented justification (mirroring the
 from __future__ import annotations
 
 import ast
-import json
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from ..errors import ReproError
-from .callgraph import CallGraph, FunctionNode, iter_own_nodes
+from .callgraph import (
+    CallGraph,
+    FunctionNode,
+    in_package,
+    iter_own_nodes,
+    solve_worklist,
+)
 from .checkers import BANNED_CLOCKS, BANNED_NP_RANDOM, BANNED_PROCESS_MODULES
+from .framework import dotted_name
 
 #: Inline waiver marker: suppresses the intrinsic seed on its line.
 EFFECT_WAIVER = "# effect-ok:"
-
-#: Effect vocabulary (``raises(T)`` is open-ended over T).
-EFFECTS = ("time", "rng", "io", "process", "global-write", "alloc")
 
 #: numpy constructors that materialise fresh arrays.
 ALLOC_NP_CALLS = frozenset({
@@ -118,12 +121,6 @@ DEFAULT_ABSORB: dict[str, tuple[str, ...]] = {
     "alloc": ("repro.perf.workspace",),
 }
 
-#: Committed effect-snapshot file (``repro arch snapshot`` / ``diff``).
-DEFAULT_SNAPSHOT = "ARCH_EFFECTS.json"
-SNAPSHOT_VERSION = 1
-
-_RAISES_RE = re.compile(r"^raises\((?P<t>[A-Za-z_][A-Za-z0-9_.]*)\)$")
-
 
 @dataclass(frozen=True)
 class Seed:
@@ -157,14 +154,12 @@ class EffectAnalysis:
         self.info: dict[str, EffectInfo] = {
             q: EffectInfo(q) for q in graph.functions
         }
-        self._seed_all()
+        self._modnames: dict[str, frozenset[str]] = {}
+        for qname, node in graph.functions.items():
+            self._seed_function(qname, node, graph.sources.get(node.path, []))
         self._propagate()
 
     # -- seeding -------------------------------------------------------------
-    def _seed_all(self) -> None:
-        for qname, node in self.graph.functions.items():
-            lines = self.graph.sources.get(node.path, [])
-            self._seed_function(qname, node, lines)
 
     def _waived(self, lines: list[str], lineno: int) -> bool:
         """Waived if the seed line (or a comment line right above it)
@@ -199,9 +194,8 @@ class EffectAnalysis:
                 seed("rng", target, site.lineno)
             elif target in IO_CALLS:
                 seed("io", target, site.lineno)
-            elif target in PROCESS_CALLS or any(
-                    target == m or target.startswith(m + ".")
-                    for m in BANNED_PROCESS_MODULES):
+            elif (target in PROCESS_CALLS
+                  or in_package(target, BANNED_PROCESS_MODULES)):
                 seed("process", target, site.lineno)
             elif head in ("numpy", "np") and attr in ALLOC_NP_CALLS:
                 seed("alloc", target, site.lineno)
@@ -234,7 +228,7 @@ class EffectAnalysis:
                     if tgt in module_names:
                         seed("global-write", tgt, stmt.lineno)
             elif isinstance(stmt, ast.Call):
-                dotted = _call_text(stmt)
+                dotted = dotted_name(stmt.func)
                 if dotted is None:
                     continue
                 root, _, rest = dotted.partition(".")
@@ -244,60 +238,50 @@ class EffectAnalysis:
                     seed("global-write", dotted, stmt.lineno)
 
     def _module_level_names(self, module: str) -> frozenset[str]:
-        cache = getattr(self, "_modnames_cache", None)
-        if cache is None:
-            cache = self._modnames_cache = {}
-        names = cache.get(module)
+        """Root names the module body stores to (``x = ...`` counts
+        here, unlike in functions)."""
+        names = self._modnames.get(module)
         if names is None:
+            body = self.graph.functions.get(f"{module}.<module>")
             found: set[str] = set()
-            body_node = self.graph.functions.get(f"{module}.<module>")
-            tree = body_node.ast_node if body_node is not None else None
-            if tree is not None:
-                for stmt in getattr(tree, "body", ()):
-                    if isinstance(stmt, (ast.Assign, ast.AugAssign,
-                                         ast.AnnAssign)):
-                        # module-level stores: collect the root names
-                        # (``x = ...`` counts here, unlike in functions)
-                        for tgt in _assign_targets(stmt):
-                            node = tgt
-                            while isinstance(node, (ast.Subscript,
-                                                    ast.Attribute)):
-                                node = node.value
-                            if isinstance(node, ast.Name):
-                                found.add(node.id)
-            names = cache[module] = frozenset(found)
+            for stmt in getattr(getattr(body, "ast_node", None), "body", ()):
+                if isinstance(stmt, (ast.Assign, ast.AugAssign,
+                                     ast.AnnAssign)):
+                    for tgt in assign_targets(stmt):
+                        while isinstance(tgt, (ast.Subscript, ast.Attribute)):
+                            tgt = tgt.value
+                        if isinstance(tgt, ast.Name):
+                            found.add(tgt.id)
+            names = self._modnames[module] = frozenset(found)
         return names
 
     # -- propagation ---------------------------------------------------------
     def _absorbs(self, module: str, effect: str) -> bool:
-        owners = self.absorb.get(effect, ())
-        return any(module == o or module.startswith(o + ".")
-                   for o in owners)
+        return in_package(module, self.absorb.get(effect, ()))
 
     def _propagate(self) -> None:
         callers = self.graph.callers_of()
-        # round-based worklist in deterministic (sorted) order
-        pending = sorted(self.info)
-        while pending:
-            next_set: set[str] = set()
-            for qname in pending:
-                effects = self.info[qname].effects
-                if not effects:
-                    continue
-                module = self.graph.functions[qname].module
-                for caller in sorted(callers.get(qname, ())):
-                    cinfo = self.info[caller]
-                    for effect in sorted(effects):
-                        base = effect.split("(")[0] \
-                            if effect.startswith("raises(") else effect
-                        if base != "raises" and self._absorbs(module, base):
-                            continue  # the owner package keeps its effect
-                        if effect in cinfo.effects:
-                            continue
-                        cinfo.effects.add(effect)
-                        cinfo.via[effect] = qname
-                        next_set.add(caller)
-            pending = sorted(next_set)
+
+        def push(qname: str) -> list[str]:
+            """Push ``qname``'s effects into its callers; return the
+            callers that gained one."""
+            effects = self.info[qname].effects
+            module = self.graph.functions[qname].module
+            gained = []
+            for caller in sorted(callers.get(qname, ())):
+                cinfo = self.info[caller]
+                for effect in sorted(effects):
+                    if (not effect.startswith("raises(")
+                            and self._absorbs(module, effect)):
+                        continue  # the owner package keeps its effect
+                    if effect in cinfo.effects:
+                        continue
+                    cinfo.effects.add(effect)
+                    cinfo.via[effect] = qname
+                    gained.append(caller)
+            return gained
+
+        solve_worklist(self.info, push)
 
     # -- queries -------------------------------------------------------------
     def effect_chain(self, qname: str, effect: str) -> list[str]:
@@ -333,18 +317,13 @@ def _raised_type(stmt: ast.Raise) -> str | None:
     exc = stmt.exc
     if isinstance(exc, ast.Call):
         exc = exc.func
-    parts = []
-    while isinstance(exc, ast.Attribute):
-        parts.append(exc.attr)
-        exc = exc.value
-    if isinstance(exc, ast.Name):
-        parts.append(exc.id)
-        return ".".join(reversed(parts)).rpartition(".")[2]
-    return None
+    dotted = dotted_name(exc)
+    return dotted.rpartition(".")[2] if dotted is not None else None
 
 
-def _assign_targets(stmt: ast.AST) -> list[ast.AST]:
-    if isinstance(stmt, ast.Assign):
+def assign_targets(stmt: ast.AST) -> list[ast.AST]:
+    """The store targets of an assignment or ``del`` statement."""
+    if isinstance(stmt, (ast.Assign, ast.Delete)):
         return list(stmt.targets)
     if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
         return [stmt.target]
@@ -359,7 +338,7 @@ def _store_roots(stmt: ast.AST) -> list[str]:
     reach through the name to shared state.
     """
     roots = []
-    for tgt in _assign_targets(stmt):
+    for tgt in assign_targets(stmt):
         node = tgt
         while isinstance(node, (ast.Subscript, ast.Attribute)):
             node = node.value
@@ -369,63 +348,10 @@ def _store_roots(stmt: ast.AST) -> list[str]:
     return roots
 
 
-def _call_text(call: ast.Call) -> str | None:
-    node = call.func
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 # -- snapshot ---------------------------------------------------------------
 def snapshot_payload(analysis: EffectAnalysis) -> dict:
     """JSON-stable snapshot of every function's effect set."""
     return {
-        "version": SNAPSHOT_VERSION,
         "root": analysis.graph.root_package,
         "functions": analysis.effect_sets(),
     }
-
-
-def write_snapshot(analysis: EffectAnalysis, path: str) -> None:
-    Path(path).write_text(
-        json.dumps(snapshot_payload(analysis), indent=2, sort_keys=True)
-        + "\n", encoding="utf-8")
-
-
-def load_snapshot(path: str) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ReproError(f"cannot read effect snapshot {path}: {exc}") \
-            from exc
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"malformed effect snapshot {path}: {exc}") from exc
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise ReproError(
-            f"effect snapshot {path} has version "
-            f"{payload.get('version')!r}; expected {SNAPSHOT_VERSION}")
-    return payload
-
-
-def diff_snapshots(old: dict, new: dict) -> tuple[list[str], list[str]]:
-    """``(new_effects, removed_effects)`` as human-readable lines.
-
-    *New* effects (a function gained an effect, or a new function has
-    effects) are review-blocking; removals are informational.
-    """
-    old_fns = old.get("functions", {})
-    new_fns = new.get("functions", {})
-    added, removed = [], []
-    for qname in sorted(set(old_fns) | set(new_fns)):
-        before = set(old_fns.get(qname, ()))
-        after = set(new_fns.get(qname, ()))
-        for eff in sorted(after - before):
-            added.append(f"{qname}: +{eff}")
-        for eff in sorted(before - after):
-            removed.append(f"{qname}: -{eff}")
-    return added, removed

@@ -4,10 +4,10 @@ A :class:`Finding` pins a rule violation to a ``path:line:col`` location
 with a rule id (``RPR001``...), a severity, and a human message.  The
 *fingerprint* deliberately omits the line number so that committed
 baselines (:mod:`repro.analysis.baseline`) survive unrelated edits above
-a suppressed finding.  Version-2 fingerprints go further and anchor on
-the enclosing symbol plus a hash of the flagged source line — messages
-that merely *mention* a line number (or any other location detail) no
-longer churn the committed baseline when code moves.
+a suppressed finding; it anchors on the enclosing symbol plus a hash
+of the flagged source line, so messages that merely *mention* a line
+number (or any other location detail) do not churn the committed
+baseline when code moves.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class Finding:
         anchor = self.content or self.message
         digest = hashlib.sha1(anchor.encode()).hexdigest()[:12]
         return f"{self.rule_id}::{self.path}::{self.symbol}::{digest}"
-
-    @property
-    def fingerprint_v1(self) -> str:
-        """The legacy (version-1 baseline) fingerprint, kept so old
-        baselines still apply and ``--migrate-baseline`` can match."""
-        return f"{self.rule_id}::{self.path}::{self.message}"
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule_id)

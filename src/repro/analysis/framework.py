@@ -21,7 +21,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..errors import ReproError
 from .findings import Finding, Severity
@@ -34,19 +34,18 @@ class AnalysisError(ReproError):
 #: Content-addressed :class:`ModuleContext` memo: parsing is the
 #: dominant fixed cost of every analysis entry point, and one tool run
 #: routinely wants the same tree several times (``repro races check``
-#: builds the concurrency state, then ``run_lint`` re-walks the same
-#: files; test suites drive ``analyze_paths`` repeatedly).  Keyed by
-#: path + source hash, so an edited file can never serve a stale tree.
+#: builds the program model, then ``run_lint`` re-walks the same files;
+#: test suites drive ``analyze_paths`` repeatedly).  Keyed by path +
+#: source hash, so an edited file can never serve a stale tree.
 _AST_CACHE: dict[str, "ModuleContext"] = {}
 
 def parse_cached(source: str, path: str) -> "ModuleContext":
     """Parse via the content-addressed memo (see :data:`_AST_CACHE`).
 
-    Reused contexts keep whatever whole-program state (arch project
-    state, concurrency analysis) an earlier run attached; those caches
-    key themselves on the exact context set (and policy) they were
-    built from, so a run over a different file set recomputes rather
-    than trusting a stale attachment.
+    Reused contexts keep the :class:`~repro.analysis.program.Program` an
+    earlier run attached; it is keyed on the exact context set (and
+    policy) it was built from, so a run over a different file set
+    recomputes rather than trusting a stale attachment.
     """
     key = hashlib.sha1(
         path.encode() + b"\0" + source.encode()).hexdigest()
@@ -93,12 +92,14 @@ def _collect_import_aliases(tree: ast.AST) -> dict[str, str]:
     return aliases
 
 
-def dotted_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
-    """Resolve a Name/Attribute chain to a dotted path through the aliases.
+def dotted_name(node: ast.AST,
+                aliases: dict[str, str] | None = None) -> str | None:
+    """The dotted text of a Name/Attribute chain (``np.random.seed``).
 
-    Returns ``None`` for expressions that are not plain attribute chains
-    (calls, subscripts, ...).  An un-imported bare name resolves to
-    itself, which is how builtin exception names are matched.
+    With ``aliases`` the head name is resolved through the import map;
+    an un-imported bare name resolves to itself, which is how builtin
+    exception names are matched.  Returns ``None`` for expressions that
+    are not plain attribute chains (calls, subscripts, ...).
     """
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
@@ -106,8 +107,19 @@ def dotted_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
         node = node.value
     if not isinstance(node, ast.Name):
         return None
-    parts.append(aliases.get(node.id, node.id))
+    parts.append(aliases.get(node.id, node.id) if aliases else node.id)
     return ".".join(reversed(parts))
+
+
+def param_names(func: ast.AST) -> set[str]:
+    """Every parameter name of a def, ``*args``/``**kwargs`` included
+    (empty for anything that is not a function)."""
+    if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return set()
+    a = func.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    names.update(p.arg for p in (a.vararg, a.kwarg) if p is not None)
+    return names
 
 
 @dataclass
@@ -296,32 +308,47 @@ def _suppressed(finding: Finding, lines: list[str]) -> bool:
     return not rules or finding.rule_id in rules
 
 
+def drop_noqa(findings: Iterable[Finding],
+              lines_of: Callable[[str], list[str]]) -> list[Finding]:
+    """Drop findings a ``# noqa`` comment on their line suppresses;
+    ``lines_of(path)`` supplies each file's source lines."""
+    return [f for f in findings if not _suppressed(f, lines_of(f.path))]
+
+
+def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
+    return Finding(path=path, line=exc.lineno or 1,
+                   col=(exc.offset or 0) or 1, rule_id=PARSE_RULE,
+                   message=f"syntax error: {exc.msg}")
+
+
+def _instantiate(registry: dict, select: Iterable[str] | None) -> list:
+    wanted = _selected(select)
+    return [cls() for rule_id, cls in registry.items()
+            if wanted is None or rule_id in wanted]
+
+
 def analyze_source(source: str, path: str = "<string>",
                    select: Iterable[str] | None = None) -> list[Finding]:
     """Run the per-file checkers over one source string (test/tool entry)."""
-    wanted = _selected(select)
+    checkers = _instantiate(_FILE_CHECKERS, select)
     try:
         ctx = ModuleContext.parse(source, path)
     except SyntaxError as exc:
-        return [Finding(path=path, line=exc.lineno or 1,
-                        col=(exc.offset or 0) or 1, rule_id=PARSE_RULE,
-                        message=f"syntax error: {exc.msg}")]
-    findings: list[Finding] = []
-    for rule_id, cls in _FILE_CHECKERS.items():
-        if wanted is not None and rule_id not in wanted:
-            continue
-        findings.extend(cls().check(ctx))
-    findings = [f for f in findings if not _suppressed(f, ctx.lines)]
+        return [_syntax_finding(path, exc)]
+    findings = [f for checker in checkers for f in checker.check(ctx)]
+    findings = drop_noqa(findings, lambda _path: ctx.lines)
     return sorted(findings, key=Finding.sort_key)
 
 
-def analyze_paths(paths: Sequence[str | Path],
-                  select: Iterable[str] | None = None) -> list[Finding]:
-    """Analyze every ``.py`` file under ``paths`` with all registered rules."""
-    wanted = _selected(select)
-    findings: list[Finding] = []
+def parse_paths(paths: Sequence[str | Path]
+                ) -> tuple[list[ModuleContext], list[Finding]]:
+    """Parse every ``.py`` file under ``paths`` through the memo.
+
+    Returns the parsed contexts and one RPR000 finding per file the
+    parser rejects.
+    """
     contexts: list[ModuleContext] = []
-    lines_by_path: dict[str, list[str]] = {}
+    errors: list[Finding] = []
     for file in iter_python_files(paths):
         path = str(file)
         try:
@@ -329,31 +356,24 @@ def analyze_paths(paths: Sequence[str | Path],
         except OSError as exc:
             raise AnalysisError(f"cannot read {path}: {exc}") from exc
         try:
-            ctx = parse_cached(source, path)
+            contexts.append(parse_cached(source, path))
         except SyntaxError as exc:
-            findings.append(Finding(
-                path=path, line=exc.lineno or 1, col=(exc.offset or 0) or 1,
-                rule_id=PARSE_RULE, message=f"syntax error: {exc.msg}",
-            ))
-            continue
-        contexts.append(ctx)
-        lines_by_path[path] = ctx.lines
+            errors.append(_syntax_finding(path, exc))
+    return contexts, errors
 
+
+def analyze_paths(paths: Sequence[str | Path],
+                  select: Iterable[str] | None = None) -> list[Finding]:
+    """Analyze every ``.py`` file under ``paths`` with all registered rules."""
+    file_checkers = _instantiate(_FILE_CHECKERS, select)
+    project_checkers = _instantiate(_PROJECT_CHECKERS, select)
+    contexts, findings = parse_paths(paths)
     for ctx in contexts:
-        for rule_id, cls in _FILE_CHECKERS.items():
-            if wanted is not None and rule_id not in wanted:
-                continue
-            findings.extend(cls().check(ctx))
-
-    for rule_id, cls in _PROJECT_CHECKERS.items():
-        if wanted is not None and rule_id not in wanted:
-            continue
-        checker = cls()
+        for checker in file_checkers:
+            findings.extend(checker.check(ctx))
+    for checker in project_checkers:
         if checker.applies(contexts):
             findings.extend(checker.check_project(contexts))
-
-    findings = [
-        f for f in findings
-        if not _suppressed(f, lines_by_path.get(f.path, []))
-    ]
+    lines_by_path = {ctx.path: ctx.lines for ctx in contexts}
+    findings = drop_noqa(findings, lambda path: lines_by_path.get(path, []))
     return sorted(findings, key=Finding.sort_key)

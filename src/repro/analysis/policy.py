@@ -30,21 +30,26 @@ pipeline:
   line, transitive allocation at the function with its chain.
 
 All three only fire when an ``ARCHITECTURE.toml`` is present in the
-working directory, and only for files inside that directory tree — a
-policy governs the tree it sits at the root of.
+working directory, and only report on files inside that directory tree
+(:meth:`~repro.analysis.program.Program.in_scope`) — a policy governs
+the tree it sits at the root of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ..contracts import EFFECTS
 from ..errors import ReproError
-from .callgraph import CallGraph, build_callgraph
-from .effects import DEFAULT_ABSORB, EffectAnalysis, EFFECTS
+from .callgraph import in_package
+from .effects import DEFAULT_ABSORB
 from .findings import Finding
 from .framework import ModuleContext, ProjectChecker, register_checker
+
+if TYPE_CHECKING:
+    from .program import Program
 
 #: Committed policy file, looked up in the working directory.
 DEFAULT_POLICY = "ARCHITECTURE.toml"
@@ -291,22 +296,15 @@ class ArchPolicy:
         return to_layer.index < from_layer.index
 
     def waived(self, rule: str, source: str, target: str) -> bool:
-        for w in self.waivers:
-            if w.rule != rule:
-                continue
-            if (source == w.source or source.startswith(w.source + ".")) \
-                    and (target == w.target
-                         or target.startswith(w.target + ".")):
-                return True
-        return False
+        return any(w.rule == rule and in_package(source, [w.source])
+                   and in_package(target, [w.target])
+                   for w in self.waivers)
 
     def in_hot_path(self, module: str) -> bool:
-        return any(module == h or module.startswith(h + ".")
-                   for h in self.hot)
+        return in_package(module, self.hot)
 
     def in_arena(self, module: str) -> bool:
-        return any(module == a or module.startswith(a + ".")
-                   for a in self.arena)
+        return in_package(module, self.arena)
 
 
 def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
@@ -371,101 +369,36 @@ def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
     )
 
 
-# -- shared per-run computation ---------------------------------------------
-@dataclass
-class ProjectState:
-    """Policy + call graph + effect analysis, computed once per lint run."""
-
-    policy: ArchPolicy
-    graph: CallGraph
-    analysis: EffectAnalysis
-
-
-_STATE_ATTR = "_repro_arch_state"
-
-
-def _policy_file_key():
-    """Freshness token for the on-disk policy (edits invalidate caches)."""
-    try:
-        return Path(DEFAULT_POLICY).stat().st_mtime_ns
-    except OSError:
-        return None
-
-
-def run_state_key(contexts: Sequence[ModuleContext],
-                  policy: ArchPolicy | None = None) -> tuple:
-    """Identity of one analysis run: the exact context objects (AST
-    reuse via ``parse_cached`` hands back identical objects for
-    identical sources) plus the governing policy.  Whole-program state
-    cached on ``contexts[0]`` is only trusted when this key matches —
-    a context reused in a different file set recomputes instead.
-    """
-    pol = id(policy) if policy is not None else _policy_file_key()
-    return (tuple(id(c) for c in contexts), pol)
-
-
-def project_state(contexts: Sequence[ModuleContext],
-                  policy: ArchPolicy | None = None) -> ProjectState | None:
-    """The shared analysis state for this checker run (``None`` without
-    a policy file).
-
-    The state is cached on the first context object keyed by
-    :func:`run_state_key`, so RPR008/9/10 all reuse one call graph and
-    one effect fixpoint per ``analyze_paths`` invocation — and repeat
-    runs over the unchanged tree (memoized ASTs) skip the fixpoints
-    entirely.
-    """
-    if not contexts:
-        return None
-    key = run_state_key(contexts, policy)
-    cached = getattr(contexts[0], _STATE_ATTR, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    if policy is None:
-        policy_file = Path(DEFAULT_POLICY)
-        if not policy_file.is_file():
-            return None
-        policy = load_policy(policy_file)
-    scope_root = Path(policy.path).resolve().parent
-    in_scope = []
-    for ctx in contexts:
-        resolved = Path(ctx.path).resolve()
-        if scope_root == resolved or scope_root in resolved.parents:
-            in_scope.append(ctx)
-    graph = build_callgraph(in_scope, root_package=policy.root)
-    absorb = dict(DEFAULT_ABSORB)
-    absorb["alloc"] = tuple(policy.arena)
-    analysis = EffectAnalysis(graph, absorb=absorb)
-    state = ProjectState(policy=policy, graph=graph, analysis=analysis)
-    setattr(contexts[0], _STATE_ATTR, (key, state))
-    return state
-
-
 def _chain_text(chain: Sequence[str]) -> str:
     return " -> ".join(chain)
 
 
-def _policy_applies(contexts: Sequence[ModuleContext]) -> bool:
-    return bool(contexts) and Path(DEFAULT_POLICY).is_file()
+class _PolicyChecker(ProjectChecker):
+    """Base of RPR008-010: active only under an ``ARCHITECTURE.toml``."""
+
+    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
+        return bool(contexts) and Path(DEFAULT_POLICY).is_file()
+
+    def check_project(self,
+                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
+        from .program import program_for  # program.py imports this module
+
+        program = program_for(contexts)
+        if program.policy is not None:
+            yield from (f for f in self.check_program(program)
+                        if program.in_scope(f.path))
 
 
 # -- RPR008 -----------------------------------------------------------------
 @register_checker
-class LayerDisciplineChecker(ProjectChecker):
+class LayerDisciplineChecker(_PolicyChecker):
     """RPR008: module dependencies must respect the layer DAG."""
 
     rule_id = "RPR008"
     title = "layer-discipline: imports/calls must point down the layer DAG"
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return _policy_applies(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        state = project_state(contexts)
-        if state is None:
-            return
-        policy, graph = state.policy, state.graph
+    def check_program(self, program: Program) -> Iterator[Finding]:
+        policy, graph = program.policy, program.graph
 
         # every first-party module must be covered by some layer
         for module, path in sorted(graph.modules.items()):
@@ -520,28 +453,23 @@ class LayerDisciplineChecker(ProjectChecker):
 
 # -- RPR009 -----------------------------------------------------------------
 @register_checker
-class TransitiveEffectChecker(ProjectChecker):
+class TransitiveEffectChecker(_PolicyChecker):
     """RPR009: budgeted layers must not carry forbidden effects."""
 
     rule_id = "RPR009"
     title = "transitive-effect-discipline: layer effect budgets hold"
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return _policy_applies(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        state = project_state(contexts)
-        if state is None:
-            return
-        policy, graph, analysis = state.policy, state.graph, state.analysis
+    def check_program(self, program: Program) -> Iterator[Finding]:
+        policy, graph, analysis = (program.policy, program.graph,
+                                   program.effects)
 
         # (layer, effect) -> candidate functions carrying it
         candidates: dict[tuple[str, str], set[str]] = {}
         for qname, info in analysis.info.items():
-            if qname.endswith(".<module>"):
-                continue  # import-time bodies are not budgeted entry points
-            layer = policy.layer_of(graph.functions[qname].module)
+            node = graph.functions[qname]
+            if qname.endswith(".<module>") or not program.in_scope(node.path):
+                continue  # not a budgeted entry point, or not governed
+            layer = policy.layer_of(node.module)
             if layer is None or not layer.forbid:
                 continue
             for effect in info.effects:
@@ -582,21 +510,15 @@ class TransitiveEffectChecker(ProjectChecker):
 
 # -- RPR010 -----------------------------------------------------------------
 @register_checker
-class WorkspaceAllocChecker(ProjectChecker):
+class WorkspaceAllocChecker(_PolicyChecker):
     """RPR010: hot perf modules allocate through the workspace arena."""
 
     rule_id = "RPR010"
     title = "workspace-alloc-discipline: hot paths use the arena"
 
-    def applies(self, contexts: Sequence[ModuleContext]) -> bool:
-        return _policy_applies(contexts)
-
-    def check_project(self,
-                      contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
-        state = project_state(contexts)
-        if state is None:
-            return
-        policy, graph, analysis = state.policy, state.graph, state.analysis
+    def check_program(self, program: Program) -> Iterator[Finding]:
+        policy, graph, analysis = (program.policy, program.graph,
+                                   program.effects)
         if not policy.hot:
             return
 

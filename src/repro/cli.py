@@ -434,7 +434,7 @@ def _cmd_dataflow_show(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import run_lint
+    from .analysis.lint import run_lint
 
     select = None
     if args.select:
@@ -445,50 +445,49 @@ def _cmd_lint(args) -> int:
         select=select,
         baseline_path=args.baseline,
         update_baseline=args.write_baseline,
-        migrate_baseline=args.migrate_baseline,
     )
 
 
 def _cmd_arch(args) -> int:
-    from .analysis import arch
+    from .analysis import commands
 
-    paths = args.paths or list(arch.DEFAULT_PATHS)
+    paths = args.paths or list(commands.DEFAULT_PATHS)
     command = args.arch_command or "show"
     if command == "show":
-        return arch.arch_show(policy_path=args.policy)
+        return commands.arch_show(policy_path=args.policy)
     if command == "check":
-        return arch.arch_check(paths)
+        return commands.arch_check(paths)
     if command == "graph":
-        return arch.arch_graph(paths, output_format=args.format,
-                               granularity=args.granularity,
-                               policy_path=args.policy)
+        return commands.arch_graph(paths, output_format=args.format,
+                                   granularity=args.granularity,
+                                   policy_path=args.policy)
     if command == "effects":
-        return arch.arch_effects(paths, prefix=args.prefix,
-                                 policy_path=args.policy)
+        return commands.arch_effects(paths, prefix=args.prefix,
+                                     policy_path=args.policy)
     if command == "snapshot":
-        return arch.arch_snapshot(paths, output=args.output,
-                                  policy_path=args.policy)
+        return commands.arch_snapshot(paths, output=args.output,
+                                      policy_path=args.policy)
     if command == "diff":
-        return arch.arch_diff(paths, against=args.against,
-                              policy_path=args.policy)
+        return commands.arch_diff(paths, against=args.against,
+                                  policy_path=args.policy)
     raise AssertionError(f"unhandled arch command {command!r}")
 
 
 def _cmd_races(args) -> int:
-    from .analysis import races
+    from .analysis import commands
 
-    paths = args.paths or list(races.DEFAULT_PATHS)
+    paths = args.paths or list(commands.DEFAULT_PATHS)
     command = args.races_command or "check"
     if command == "check":
-        return races.races_check(paths)
+        return commands.races_check(paths)
     if command == "show":
-        return races.races_show(paths)
+        return commands.races_show(paths)
     if command == "report":
-        return races.races_report(paths)
+        return commands.races_report(paths)
     if command == "snapshot":
-        return races.races_snapshot(paths, output=args.output)
+        return commands.races_snapshot(paths, output=args.output)
     if command == "diff":
-        return races.races_diff(paths, against=args.against)
+        return commands.races_diff(paths, against=args.against)
     raise AssertionError(f"unhandled races command {command!r}")
 
 
@@ -740,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--write-baseline", action="store_true",
                         help="snapshot current findings into the baseline "
                              "and exit 0")
-    p_lint.add_argument("--migrate-baseline", action="store_true",
-                        help="rewrite the baseline to the current "
-                             "fingerprint format and exit 0")
     p_lint.set_defaults(func=_cmd_lint)
 
     p_df = sub.add_parser(

@@ -1,7 +1,11 @@
-"""Lightweight array contracts for geometry/pipeline entry points.
+"""The runtime contract language: array contracts, port contracts, effects.
 
-A contract string declares an ndarray parameter's shape and element
-kind, ``"<dims>:<dtype>"``::
+Kernels, the stage graph and the static analyzer all speak this one
+vocabulary; it lives outside :mod:`repro.analysis` so the runtime never
+imports the linter.
+
+**Array contracts.**  A contract string declares an ndarray parameter's
+shape and element kind, ``"<dims>:<dtype>"``::
 
     @contract(depth="H,W:f64", pose="4,4:f64")
     def integrate(volume, depth, camera, pose, mu): ...
@@ -30,6 +34,17 @@ The RPR005 static pass (:mod:`repro.analysis.checkers`) validates
 contract-string syntax, rejects parameters that do not exist in the
 decorated function's signature, and flags contradictory declarations of
 the same parameter across stacked ``@contract`` decorators.
+
+**Port contracts** extend the array grammar with a tag, for stage-graph
+ports (:mod:`repro.graph`)::
+
+    tag                     an opaque value (``"track.converged"``)
+    tag(H,W:f32)            an array of that shape/dtype
+    tag([H,W,3:f32])        a pyramid (list of arrays); the spec
+                            describes the finest level
+
+**Effects** (:data:`EFFECTS`) are the vocabulary of layer budgets in
+``ARCHITECTURE.toml`` and of stage effect declarations.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReproError
+from .errors import ReproError
 
 
 class ContractError(ReproError):
@@ -66,6 +81,11 @@ _COMPATIBLE = {
 }
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+_TAG_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$")
+
+#: Effect vocabulary (the analyzer adds open-ended ``raises(T)``).
+EFFECTS = ("time", "rng", "io", "process", "global-write", "alloc")
 
 #: alias dtype token -> the canonical token :func:`format_contract` emits.
 _CANONICAL_DTYPE = {"b": "bool"}
@@ -262,3 +282,96 @@ def contract(**specs: str):
         return wrapper
 
     return decorate
+
+
+# -- port contracts ----------------------------------------------------------
+@dataclass(frozen=True)
+class PortContract:
+    """A parsed port contract: a tag, optionally carrying an array spec.
+
+    Attributes:
+        tag: the dotted value tag (``"depth.map"``).
+        spec: the array shape/dtype, or ``None`` for an opaque tag.
+        pyramid: the port carries a *list* of arrays (``tag([...])``);
+            ``spec`` then describes the finest level.
+        text: the original contract string.
+    """
+
+    tag: str
+    spec: ArraySpec | None
+    pyramid: bool
+    text: str
+
+
+def parse_port_contract(text: str) -> PortContract:
+    """Parse ``"tag"`` / ``"tag(H,W:f32)"`` / ``"tag([H,W,3:f32])"``."""
+    if not isinstance(text, str) or not text.strip():
+        raise ContractError(
+            f"port contract must be a non-empty string, got {text!r}"
+        )
+    s = text.strip()
+    spec = None
+    pyramid = False
+    if s.endswith(")"):
+        open_paren = s.find("(")
+        if open_paren < 0:
+            raise ContractError(
+                f"port contract {text!r}: ')' without a matching '('"
+            )
+        inner = s[open_paren + 1:-1].strip()
+        s = s[:open_paren].strip()
+        if inner.startswith("[") and inner.endswith("]"):
+            pyramid = True
+            inner = inner[1:-1].strip()
+        if not inner:
+            raise ContractError(
+                f"port contract {text!r}: empty array spec"
+            )
+        spec = parse_contract(inner)
+    if not _TAG_RE.match(s):
+        raise ContractError(
+            f"port contract {text!r}: bad tag {s!r} (expected dotted "
+            f"identifiers, e.g. 'depth.map')"
+        )
+    return PortContract(tag=s, spec=spec, pyramid=pyramid, text=text)
+
+
+def format_port_contract(pc: PortContract) -> str:
+    """Canonical spelling (idempotent; whitespace/alias variants collapse)."""
+    if pc.spec is None:
+        return pc.tag
+    inner = format_contract(pc.spec)
+    return f"{pc.tag}([{inner}])" if pc.pyramid else f"{pc.tag}({inner})"
+
+
+def port_contract_mismatch(src: PortContract,
+                           dst: PortContract) -> str | None:
+    """Why two contracts cannot share an edge, or ``None`` if they can.
+
+    Semantic comparison, not spelling: whitespace and dtype-alias
+    variants are equal, and a symbolic dim is compatible with anything
+    in its position (``repro dataflow check`` unifies symbols across the
+    whole graph — RPR011 — which a single edge cannot).  Everything
+    declared concretely must agree: tag, pyramid-ness, rank, dtype, and
+    integer dims.
+    """
+    if src.tag != dst.tag:
+        return f"tag {src.tag!r} != {dst.tag!r}"
+    if (src.spec is None) != (dst.spec is None):
+        return ("one end declares an array spec, the other is an "
+                "opaque tag")
+    if src.spec is None or dst.spec is None:
+        return None
+    if src.pyramid != dst.pyramid:
+        return "one end is a pyramid ([...]), the other a single array"
+    a, b = src.spec, dst.spec
+    if a.ellipsis_leading != b.ellipsis_leading:
+        return "leading '...' differs"
+    if len(a.dims) != len(b.dims):
+        return f"rank {len(a.dims)} != {len(b.dims)}"
+    if a.dtype != b.dtype:
+        return f"dtype {a.dtype or 'any'} != {b.dtype or 'any'}"
+    for i, (x, y) in enumerate(zip(a.dims, b.dims)):
+        if isinstance(x, int) and isinstance(y, int) and x != y:
+            return f"dim {i}: {x} != {y}"
+    return None

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..errors import GeometryError
 
 _EPS = 1e-12

@@ -6,7 +6,7 @@ so running a compiled graph can never fail for a *wiring* reason:
 1. every node references a registered stage;
 2. every edge joins an existing output port to an existing input port
    with **semantically equal contracts** (parsed under the
-   :mod:`repro.analysis.dataflow` port grammar — spelling variants of
+   :mod:`repro.contracts` port grammar — spelling variants of
    one contract are equal, concrete declarations must agree; symbolic
    dims are unified across the whole graph by ``repro dataflow
    check``, RPR011);
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.dataflow import parse_port_contract, port_contract_mismatch
+from ..contracts import parse_port_contract, port_contract_mismatch
 from ..errors import GraphError, PerfError
 from .instance import PipelineInstance
 from .spec import Edge, GraphSpec, TapSpec

@@ -13,7 +13,7 @@ a pipeline graph *without running it*:
   :class:`~repro.perf.workspace.FrameWorkspace` arena, so the whole
   graph's footprint is planned (and bounded) at compile time instead of
   discovered when a buffer allocation trips the budget mid-run.
-* **effect budget** — the :mod:`repro.analysis.effects` vocabulary the
+* **effect budget** — the :data:`repro.contracts.EFFECTS` vocabulary the
   stage admits to; the compiler cross-checks it against the owning
   layer's ``forbid`` list in ``ARCHITECTURE.toml``.
 
@@ -27,9 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..analysis.contracts import ContractError
-from ..analysis.dataflow import parse_port_contract
-from ..analysis.effects import EFFECTS
+from ..contracts import EFFECTS, ContractError, parse_port_contract
 from ..errors import GraphError
 
 
@@ -41,7 +39,7 @@ class Port:
         name: port identifier, unique within the stage's direction
             (``"depth"``, ``"vertices"``).
         contract: port contract under the
-            :mod:`repro.analysis.dataflow` grammar — a dotted tag,
+            :mod:`repro.contracts` port grammar — a dotted tag,
             optionally carrying an array spec: ``"track.converged"``,
             ``"depth.map(H,W:f32)"``, ``"pyramid.vertices([H,W,3:f32])"``.
             An edge is only valid between ports whose contracts are
@@ -123,7 +121,7 @@ class StageSpec:
         workspace_need: byte estimator ``f(WorkspaceRequest) -> int`` for
             the stage's share of the frame arena; ``None`` declares no
             arena use.
-        effects: declared effect budget (:data:`repro.analysis.effects.EFFECTS`
+        effects: declared effect budget (:data:`repro.contracts.EFFECTS`
             vocabulary) the compiler validates against ARCHITECTURE.toml.
         workload_timed: record the stage's wall time into the frame
             workload (the four canonical kernel stages do; auxiliary

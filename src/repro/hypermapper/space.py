@@ -134,12 +134,6 @@ class DesignSpace:
         return configs
 
 
-#: Registered kernel backends exposed as a design-space dimension.
-#: Static literal so RPR004 can cross-check it against the registry's
-#: ``KernelBackend`` declarations without importing anything.
-KERNEL_BACKEND_CHOICES = ("fast", "reference", "sparse")
-
-
 def kfusion_design_space(kernel_backend: bool = False) -> DesignSpace:
     """The paper's algorithmic design space (KinectFusion parameters).
 
@@ -147,15 +141,18 @@ def kfusion_design_space(kernel_backend: bool = False) -> DesignSpace:
     implementations join the space as a categorical dimension, so the
     sparsity/precision axis is explored alongside the algorithmic knobs
     (``repro dse`` opts in; golden DSE fixtures keep the smaller space).
+    The choices are the registered backend names, so the dimension
+    cannot drift from the registry.
     """
     from ..kfusion.params import parameter_specs
+    from ..perf import kernel_backend_names
 
     specs = list(parameter_specs())
     if kernel_backend:
         specs.append(
             ParameterSpec(
                 "kernel_backend", "categorical", "fast",
-                choices=KERNEL_BACKEND_CHOICES,
+                choices=tuple(kernel_backend_names()),
                 description="kernel implementation family "
                             "(repro.perf registry)",
             )

@@ -38,7 +38,7 @@ from .preprocessing import downsample_depth
 from .render import render_volume
 
 #: Contract vocabulary of the KinectFusion graph.  Array-valued wires
-#: carry their shape/dtype (the :mod:`repro.analysis.dataflow` port
+#: carry their shape/dtype (the :mod:`repro.contracts` port
 #: grammar); ``H``/``W`` are the compute-camera resolution, unified per
 #: node by ``repro dataflow check`` (RPR011).  Pyramid contracts
 #: (``[...]``) describe the finest level.  The dtype names the wire's

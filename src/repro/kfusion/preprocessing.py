@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..errors import ConfigurationError
 from ..geometry import PinholeCamera, normals_from_vertices
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..geometry import PinholeCamera, se3
 from .volume import TSDFVolume
 

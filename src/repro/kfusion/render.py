@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..errors import GeometryError
 from ..geometry import PinholeCamera
 from .raycast import raycast

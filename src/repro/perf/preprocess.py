@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..errors import ConfigurationError
 from ..geometry import PinholeCamera
 from ..kfusion.memory import BILATERAL_RADIUS

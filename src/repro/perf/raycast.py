@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..geometry import PinholeCamera
 from ..kfusion.tracking import ReferenceModel
 from ..kfusion.volume import TSDFVolume

@@ -36,7 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..errors import PerfError
 from ..geometry import PinholeCamera, se3
 from ..kfusion import preprocessing as _ref_pre

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis.contracts import contract
+from ..contracts import contract
 from ..geometry import PinholeCamera
 from ..kfusion.sparse import BLOCK, BLOCK_VOXELS, SparseTSDFVolume
 from ..kfusion.tracking import ReferenceModel

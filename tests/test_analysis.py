@@ -1,31 +1,34 @@
 """Tests for the static-analysis suite (repro lint, rules RPR001-RPR007)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    ContractError,
-    Severity,
-    analyze_paths,
-    analyze_source,
+from repro.analysis.baseline import (
     apply_baseline,
-    contract,
     load_baseline,
-    migrate_baseline,
-    parse_contract,
-    rule_catalogue,
-    run_lint,
     write_baseline,
 )
 from repro.analysis.consistency import (
     SpecInfo,
     compare_space_and_consumer,
 )
-from repro.analysis.framework import AnalysisError, PARSE_RULE
+from repro.analysis.findings import Severity
+from repro.analysis.framework import (
+    PARSE_RULE,
+    AnalysisError,
+    analyze_paths,
+    analyze_source,
+    rule_catalogue,
+)
+from repro.analysis.lint import run_lint
 from repro.analysis.reporters import format_json, format_text
+from repro.contracts import ContractError, contract, parse_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_SRC = REPO_ROOT / "src" / "repro"
@@ -33,6 +36,21 @@ REPO_SRC = REPO_ROOT / "src" / "repro"
 
 def rules_of(findings):
     return [f.rule_id for f in findings]
+
+
+class TestRuntimeImports:
+    def test_runtime_does_not_import_the_linter(self):
+        code = (
+            "import sys\n"
+            "import repro.kfusion.pipeline, repro.serve, repro.hypermapper,"
+            " repro.jobs\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[:2] == ['repro', 'analysis']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_SRC.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestFramework:
@@ -392,7 +410,7 @@ class TestContractSyntaxChecker:
 
     def test_good_contract_clean(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "@contract(depth='H,W:f64', pose='4,4:f64')\n"
             "def f(depth, pose):\n"
             "    return depth\n"
@@ -401,7 +419,7 @@ class TestContractSyntaxChecker:
 
     def test_malformed_string_flagged(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "@contract(depth='H,,W:f64')\n"
             "def f(depth):\n"
             "    return depth\n"
@@ -411,7 +429,7 @@ class TestContractSyntaxChecker:
 
     def test_unknown_dtype_flagged(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "@contract(depth='H,W:q7')\n"
             "def f(depth):\n"
             "    return depth\n"
@@ -420,7 +438,7 @@ class TestContractSyntaxChecker:
 
     def test_unknown_parameter_flagged(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "@contract(nope='4,4:f64')\n"
             "def f(depth):\n"
             "    return depth\n"
@@ -430,7 +448,7 @@ class TestContractSyntaxChecker:
 
     def test_contradictory_stacked_decorators_flagged(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "@contract(x='4,4:f64')\n"
             "@contract(x='3,3:f64')\n"
             "def f(x):\n"
@@ -441,7 +459,7 @@ class TestContractSyntaxChecker:
 
     def test_non_literal_contract_flagged(self):
         src = (
-            "from repro.analysis.contracts import contract\n"
+            "from repro.contracts import contract\n"
             "SPEC = '4,4:f64'\n"
             "@contract(x=SPEC)\n"
             "def f(x):\n"
@@ -744,9 +762,11 @@ class TestBaseline:
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "fingerprints": {}}))
-        with pytest.raises(AnalysisError):
-            load_baseline(path)
+        for version in (99, 1):  # 1: the retired message-keyed format
+            path.write_text(json.dumps({"version": version,
+                                        "fingerprints": {}}))
+            with pytest.raises(AnalysisError):
+                load_baseline(path)
 
 
 class TestFingerprintV2:
@@ -765,8 +785,6 @@ class TestFingerprintV2:
         )
         assert before[0].line != after[0].line
         assert before[0].fingerprint == after[0].fingerprint
-        # the legacy v1 key was line-free too but message-anchored
-        assert before[0].fingerprint_v1 == after[0].fingerprint_v1
 
     def test_symbol_disambiguates_identical_content(self, tmp_path):
         findings = self._analyze(
@@ -781,31 +799,6 @@ class TestFingerprintV2:
         assert findings[0].content == findings[1].content
         assert {f.symbol for f in findings} == {"f", "g"}
         assert findings[0].fingerprint != findings[1].fingerprint
-
-    def test_v1_baseline_still_applies(self, tmp_path):
-        findings = self._analyze(tmp_path, "import time\nx = time.time()\n")
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "fingerprints": {f.fingerprint_v1: 1 for f in findings},
-        }))
-        kept, suppressed = apply_baseline(findings, load_baseline(path))
-        assert kept == [] and suppressed == 1
-
-    def test_migration_rewrites_to_v2_and_drops_stale(self, tmp_path):
-        findings = self._analyze(tmp_path, "import time\nx = time.time()\n")
-        path = tmp_path / "baseline.json"
-        fingerprints = {f.fingerprint_v1: 1 for f in findings}
-        fingerprints["RPR001::gone.py::some deleted finding"] = 3
-        path.write_text(json.dumps({"version": 1,
-                                    "fingerprints": fingerprints}))
-        migrated, dropped = migrate_baseline(findings, path)
-        assert migrated == 1
-        assert dropped == 3  # stale *allowances*, not distinct keys
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 2
-        kept, suppressed = apply_baseline(findings, load_baseline(path))
-        assert kept == [] and suppressed == 1
 
 
 class TestReporters:

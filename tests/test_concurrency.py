@@ -13,18 +13,17 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.analysis import analyze_paths, analyze_source
-from repro.analysis.framework import parse_cached
-from repro.analysis.lint import (
-    LINT_EXIT_CLEAN,
-    LINT_EXIT_FINDINGS,
-    LINT_EXIT_INTERNAL,
-)
-from repro.analysis.races import (
+from repro.analysis.commands import (
     races_check,
     races_diff,
     races_show,
     races_snapshot,
+)
+from repro.analysis.framework import analyze_paths, analyze_source, parse_cached
+from repro.analysis.lint import (
+    LINT_EXIT_CLEAN,
+    LINT_EXIT_FINDINGS,
+    LINT_EXIT_INTERNAL,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -462,6 +461,21 @@ class TestRacesCommands:
         assert races_diff(["repro"], against="snap.json",
                           echo=out.append) == LINT_EXIT_FINDINGS
         assert any("NEW" in line and "other" in line for line in out)
+
+
+    def test_diff_rejects_wrong_snapshot_version(self, tmp_path,
+                                                 monkeypatch):
+        root = write_proj(tmp_path, {"w.py": LOCKED_WORKER},
+                          policy=BASE_POLICY)
+        monkeypatch.chdir(root)
+        out = []
+        assert races_snapshot(["repro"], output="snap.json",
+                              echo=out.append) == LINT_EXIT_CLEAN
+        snap = root / "snap.json"
+        snap.write_text(snap.read_text().replace('"version": 1',
+                                                 '"version": 99'))
+        assert races_diff(["repro"], against="snap.json",
+                          echo=out.append) == LINT_EXIT_INTERNAL
 
 
 # -- live-tree regression -----------------------------------------------------

@@ -22,25 +22,25 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.contracts import (
-    ContractError,
-    contracts_equal,
-    format_contract,
-    parse_contract,
-)
 from repro.analysis.dataflow import (
     BufferRef,
     GraphUnderCheck,
     check_graphs,
-    format_port_contract,
-    parse_contexts,
-    parse_port_contract,
-    port_contract_mismatch,
     run_dataflow,
     topo_schedule,
     unify_graph,
 )
 from repro.analysis.framework import ModuleContext
+from repro.analysis.program import load_program
+from repro.contracts import (
+    ContractError,
+    contracts_equal,
+    format_contract,
+    format_port_contract,
+    parse_contract,
+    parse_port_contract,
+    port_contract_mismatch,
+)
 from repro.core.registry import register_defaults
 from repro.errors import GraphError
 from repro.graph import (
@@ -288,7 +288,7 @@ FAST = KernelBackend(name="fast", integrate=_fastk.kernel)
 
 def _kernel_src(spec):
     return (
-        "from ..analysis.contracts import contract\n"
+        "from ..contracts import contract\n"
         f"@contract(depth={spec!r})\n"
         "def kernel(depth):\n"
         "    return depth\n"
@@ -299,7 +299,7 @@ def _graphdef_src(helper_spec=None):
     helper = ""
     if helper_spec is not None:
         helper = (
-            "from ..analysis.contracts import contract\n"
+            "from ..contracts import contract\n"
             f"@contract(depth={helper_spec!r})\n"
             "def helper(depth):\n"
             "    return depth\n"
@@ -372,7 +372,7 @@ class TestKernelContracts:
         contexts = [
             ctx("/scratch/repro/perf/registry.py", REGISTRY_SRC),
             ctx("/scratch/repro/perf/fastk.py",
-                "from ..analysis.contracts import contract\n"
+                "from ..contracts import contract\n"
                 "@contract(pose='4,4:f64')\n"
                 "def kernel(depth, pose):\n"
                 "    return depth\n"),
@@ -533,7 +533,7 @@ class TestLiveness:
 
 @pytest.fixture(scope="module")
 def repo_contexts():
-    return parse_contexts([str(REPO_SRC)])
+    return load_program([str(REPO_SRC)]).contexts
 
 
 def _registered_graphs():

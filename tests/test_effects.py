@@ -14,24 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    EffectAnalysis,
-    analyze_paths,
-    build_callgraph,
-    diff_snapshots,
-    load_snapshot,
-    module_name_for,
-    run_lint,
-    snapshot_payload,
-    write_snapshot,
-)
-from repro.analysis.arch import (
+from repro.analysis.callgraph import build_callgraph, module_name_for
+from repro.analysis.commands import (
     arch_check,
     arch_diff,
     arch_graph,
     arch_show,
     arch_snapshot,
+    diff_snapshots,
     graph_as_json,
+    load_snapshot,
+    write_snapshot,
 )
 from repro.analysis.consistency import (
     compare_backend_contracts,
@@ -39,11 +32,13 @@ from repro.analysis.consistency import (
     extract_kernel_backends,
     resolve_backend_kernel,
 )
-from repro.analysis.framework import ModuleContext
+from repro.analysis.effects import EffectAnalysis, snapshot_payload
+from repro.analysis.framework import ModuleContext, analyze_paths
 from repro.analysis.lint import (
     LINT_EXIT_CLEAN,
     LINT_EXIT_FINDINGS,
     LINT_EXIT_INTERNAL,
+    run_lint,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -393,7 +388,7 @@ class TestSnapshot:
         analysis = EffectAnalysis(graph_of(
             ("m.py", "import time\ndef f():\n    return time.time()\n")))
         path = tmp_path / "ARCH_EFFECTS.json"
-        write_snapshot(analysis, str(path))
+        write_snapshot(snapshot_payload(analysis), str(path))
         assert load_snapshot(str(path)) == snapshot_payload(analysis)
 
     def test_diff_reports_added_and_removed(self):
@@ -555,7 +550,7 @@ def _registry_contexts(fast_contract, ref_contract):
     def decorated(spec):
         dec = f'@contract({spec})\n' if spec else ""
         return (
-            "from ..analysis.contracts import contract\n"
+            "from ..contracts import contract\n"
             f"{dec}def kernel(depth):\n"
             "    return depth\n"
         )
@@ -627,6 +622,32 @@ class TestBackendContracts:
                                      'depth="H,W:f64"')
         assert len(problems) == 1
         assert "different parameters" in problems[0][1]
+
+
+class TestProgramModel:
+    def test_one_lint_run_builds_graph_and_fixpoint_once(self, monkeypatch):
+        from repro.analysis import callgraph, effects, framework
+
+        monkeypatch.chdir(REPO_ROOT)
+        # a cold run: fresh contexts carry no cached program model
+        monkeypatch.setattr(framework, "_AST_CACHE", {})
+        counts = {"graph": 0, "fixpoint": 0}
+        init = callgraph.CallGraph.__init__
+        propagate = effects.EffectAnalysis._propagate
+
+        def counting_init(self, *args, **kwargs):
+            counts["graph"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_propagate(self):
+            counts["fixpoint"] += 1
+            propagate(self)
+
+        monkeypatch.setattr(callgraph.CallGraph, "__init__", counting_init)
+        monkeypatch.setattr(effects.EffectAnalysis, "_propagate",
+                            counting_propagate)
+        analyze_paths(["src/repro"])
+        assert counts == {"graph": 1, "fixpoint": 1}
 
 
 class TestRepoIsClean:

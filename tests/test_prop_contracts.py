@@ -16,17 +16,14 @@ Two families of properties:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.contracts import (
+from repro.analysis.dataflow import GraphUnderCheck, unify_graph
+from repro.contracts import (
     DTYPE_KINDS,
     contracts_equal,
     format_contract,
-    parse_contract,
-)
-from repro.analysis.dataflow import (
-    GraphUnderCheck,
     format_port_contract,
+    parse_contract,
     parse_port_contract,
-    unify_graph,
 )
 from repro.graph import Edge, GraphSpec, Port, StageSpec
 

@@ -10,6 +10,7 @@ from repro.hypermapper import (
     codesign_design_space,
     kfusion_design_space,
 )
+from repro.perf import kernel_backend_names
 
 
 def small_space():
@@ -115,6 +116,11 @@ class TestPresetSpaces:
         space = kfusion_design_space()
         assert "volume_resolution" in space.names
         assert space.dimensions == 10
+
+    def test_kernel_backend_choices_are_the_registry(self):
+        space = kfusion_design_space(kernel_backend=True)
+        backend = {s.name: s for s in space.specs}["kernel_backend"]
+        assert backend.choices == tuple(kernel_backend_names())
 
     def test_codesign_space_adds_platform_knobs(self, odroid):
         space = codesign_design_space(odroid)
