@@ -70,5 +70,6 @@ class Frame:
         return replace(self, ground_truth_pose=None)
 
     def valid_depth_fraction(self) -> float:
-        """Fraction of pixels carrying a valid depth measurement."""
-        return float(np.count_nonzero(self.depth > 0.0)) / self.depth.size
+        """Fraction of pixels carrying a valid (finite, positive) depth."""
+        valid = np.isfinite(self.depth) & (self.depth > 0.0)
+        return float(np.count_nonzero(valid)) / self.depth.size

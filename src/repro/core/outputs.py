@@ -3,14 +3,14 @@
 SLAMBench systems publish named outputs (current pose, point cloud, render
 of the internal model, tracking status); the loader/GUI subscribes to them.
 :class:`OutputManager` is the registry a :class:`~repro.core.api.SLAMSystem`
-fills in during ``update_outputs``.
+fills in during ``update_outputs``.  Costly outputs are published as
+producers and computed only when read, as SLAMBench2 does.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,17 +36,41 @@ class TrackingStatus(enum.Enum):
     BOOTSTRAP = "bootstrap"  # first frame / re-initialisation
 
 
-@dataclass
 class Output:
-    """One published output slot."""
+    """One published output slot.
 
-    name: str
-    kind: OutputKind
-    value: Any = None
-    updated_at_frame: int = -1
+    A system either sets a value (:meth:`set`) or publishes a producer
+    that computes it (:meth:`publish`).  The producer runs on the first
+    read of :attr:`value`, at most once, so an output nobody reads costs
+    nothing.  The producer decides whether it can still answer for its
+    frame and raises :class:`~repro.errors.ConfigurationError` if not.
+    """
+
+    def __init__(self, name: str, kind: OutputKind):
+        self.name = name
+        self.kind = kind
+        self.updated_at_frame = -1
+        self._value: Any = None
+        self._producer: Callable[[], Any] | None = None
+
+    @property
+    def value(self) -> Any:
+        """The published value, computed now if only a producer is held."""
+        if self._producer is not None:
+            self._value = self._producer()
+            self._producer = None
+        return self._value
 
     def set(self, value: Any, frame_index: int) -> None:
-        self.value = value
+        """Publish ``value`` for ``frame_index`` (drops a pending producer)."""
+        self._value = value
+        self._producer = None
+        self.updated_at_frame = frame_index
+
+    def publish(self, producer: Callable[[], Any], frame_index: int) -> None:
+        """Publish ``producer()`` for ``frame_index``, computed on first read."""
+        self._value = None
+        self._producer = producer
         self.updated_at_frame = frame_index
 
 

@@ -25,6 +25,9 @@ time and energy.
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
+
 import numpy as np
 
 from ..core.api import SLAMSystem
@@ -49,6 +52,13 @@ INITIAL_POSE_FACTOR = (0.5, 0.5, 0.0)
 
 class KinectFusion(SLAMSystem):
     """Dense RGB-D SLAM with a TSDF map and ICP tracking.
+
+    Outputs: ``pose``, ``tracking_status``, ``track_rmse`` (and
+    ``model_render`` with ``publish_render``) are set every frame.
+    ``pointcloud`` (the map's surface points) is computed on read, so a
+    run that never reads it never pays for the extraction.  Only the
+    latest frame's is readable: a read after the next ``process_once``
+    or after ``clean`` raises :class:`~repro.errors.ConfigurationError`.
 
     Args:
         publish_render: also produce the GUI's shaded model render each
@@ -99,6 +109,7 @@ class KinectFusion(SLAMSystem):
         self._reference: ReferenceModel | None = None
         self._status = TrackingStatus.BOOTSTRAP
         self._last_track_rmse = 0.0
+        self._map_version = 0  # bumped per frame and on clean (stale reads)
 
     @property
     def kernel_backend(self) -> str:
@@ -185,6 +196,15 @@ class KinectFusion(SLAMSystem):
                 f"frame shape {frame.depth.shape} != sensor "
                 f"{self._input_camera.shape}"
             )
+        # The one ingest boundary for depth: non-finite or negative
+        # readings become 0 ("no measurement") before any kernel sees
+        # them.  Clean input, the common case, is passed through uncopied.
+        depth = frame.depth
+        if not (np.isfinite(depth).all() and (depth >= 0.0).all()):
+            frame = dataclasses.replace(frame, depth=np.where(
+                np.isfinite(depth) & (depth > 0.0), depth, 0.0
+            ))
+        self._map_version += 1
         ctx = StageContext(
             frame=frame,
             workload=workload,
@@ -202,8 +222,8 @@ class KinectFusion(SLAMSystem):
         self.outputs.get("pose").set(self._pose.copy(), idx)
         self.outputs.get("tracking_status").set(self._status, idx)
         self.outputs.get("track_rmse").set(self._last_track_rmse, idx)
-        self.outputs.get("pointcloud").set(
-            self.volume.extract_surface_points(), idx
+        self.outputs.get("pointcloud").publish(
+            self._surface_points_producer(idx), idx
         )
         tracer = current_tracer()
         tracer.gauge("kfusion.volume.allocated_blocks",
@@ -213,7 +233,40 @@ class KinectFusion(SLAMSystem):
         if self._publish_render and self._last_render is not None:
             self.outputs.get("model_render").set(self._last_render, idx)
 
+    def _surface_points_producer(self, idx: int):
+        """Producer of frame ``idx``'s surface points, for the pointcloud output.
+
+        Only the latest frame is readable: the map changes with the next
+        frame, so a read after the next ``process_once`` (or after
+        ``clean``) raises instead of returning another frame's points.
+        """
+        # Weakly held, so a kept output does not keep a released system
+        # and its buffers alive.
+        system = weakref.ref(self)
+        version = self._map_version
+
+        def surface_points() -> np.ndarray:
+            live = system()
+            if live is None:
+                raise ConfigurationError(
+                    f"output 'pointcloud' of frame {idx} is no longer "
+                    f"readable: its system was released"
+                )
+            if live._map_version != version:
+                state = ("is now at" if live.initialised
+                         else "was cleaned after")
+                raise ConfigurationError(
+                    f"output 'pointcloud' of frame {idx} is no longer "
+                    f"readable: the system {state} frame "
+                    f"{live.frames_processed - 1}; only the latest frame's "
+                    f"point cloud can be read"
+                )
+            return live.volume.extract_surface_points()
+
+        return surface_points
+
     def do_clean(self) -> None:
+        self._map_version += 1
         self.volume = None
         self._reference = None
         self._instance = None

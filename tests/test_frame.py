@@ -50,6 +50,14 @@ class TestBehaviour:
         f = make_frame(depth=d)
         assert f.valid_depth_fraction() == pytest.approx(0.75)
 
+    def test_valid_depth_fraction_ignores_non_finite(self):
+        d = np.ones((4, 5))
+        d[0, :2] = np.inf
+        d[0, 2] = np.nan
+        d[0, 3] = -1.0
+        f = make_frame(depth=d)
+        assert f.valid_depth_fraction() == pytest.approx(0.8)
+
     def test_frames_are_immutable(self):
         f = make_frame()
         with pytest.raises(AttributeError):

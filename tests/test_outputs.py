@@ -49,3 +49,37 @@ class TestValues:
         om.declare("pose", OutputKind.POSE)
         with pytest.raises(ConfigurationError):
             om.pose()
+
+
+class TestOnDemand:
+    def test_producer_runs_only_when_read_and_once(self):
+        calls = []
+
+        def producer():
+            calls.append(1)
+            return np.arange(3)
+
+        out = OutputManager().declare("cloud", OutputKind.POINTCLOUD)
+        out.publish(producer, frame_index=4)
+        assert out.updated_at_frame == 4
+        assert calls == []
+        assert np.array_equal(out.value, np.arange(3))
+        assert np.array_equal(out.value, np.arange(3))
+        assert calls == [1]
+
+    def test_set_replaces_pending_producer(self):
+        out = OutputManager().declare("x", OutputKind.SCALAR)
+        out.publish(lambda: pytest.fail("replaced producer ran"), 1)
+        out.set(2.5, frame_index=2)
+        assert out.value == 2.5
+        assert out.updated_at_frame == 2
+
+    def test_failing_producer_stays_pending(self):
+        def stale():
+            raise ConfigurationError("stale")
+
+        out = OutputManager().declare("x", OutputKind.SCALAR)
+        out.publish(stale, 0)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                out.value

@@ -1,11 +1,18 @@
 """Integration tests: the full KinectFusion system on synthetic sequences."""
 
+import dataclasses
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core import TrackingStatus, run_benchmark
+from repro.datasets.base import InMemorySequence
 from repro.errors import ConfigurationError
 from repro.kfusion import KinectFusion
+from repro.kfusion.sparse import SparseTSDFVolume
+from repro.kfusion.volume import TSDFVolume
 
 GOOD_CONFIG = {
     "volume_resolution": 128,
@@ -118,3 +125,129 @@ class TestParameterEffects:
         assert outputs.pose().shape == (4, 4)
         assert len(outputs.get("pointcloud").value) > 0
         system.clean()
+
+
+#: Small map for the output and ingest tests: they check bookkeeping, not
+#: tracking accuracy.
+SMALL_CONFIG = {"volume_resolution": 64, "volume_size": 5.0,
+                "integration_rate": 1}
+
+
+def _started(sequence, backend):
+    system = KinectFusion(kernel_backend=backend)
+    system.new_configuration().update(SMALL_CONFIG)
+    system.init(sequence.sensors)
+    return system
+
+
+def _step(system, frame):
+    system.update_frame(frame.without_ground_truth())
+    system.process_once()
+    return system.update_outputs()
+
+
+class TestPointcloudOnDemand:
+    @pytest.mark.parametrize("backend", ["fast", "sparse"])
+    def test_read_equals_extraction_at_that_frame(self, tiny_sequence,
+                                                  backend):
+        system = _started(tiny_sequence, backend)
+        try:
+            for index in range(3):
+                outputs = _step(system, tiny_sequence.frame(index))
+                cloud = outputs.get("pointcloud").value
+                assert outputs.get("pointcloud").updated_at_frame == index
+                expected = system.volume.extract_surface_points()
+                assert cloud.dtype == expected.dtype
+                assert cloud.tobytes() == expected.tobytes()
+        finally:
+            system.clean()
+
+    def test_read_after_next_frame_raises(self, tiny_sequence):
+        system = _started(tiny_sequence, "fast")
+        try:
+            kept = _step(system, tiny_sequence.frame(0)).get("pointcloud")
+            system.update_frame(tiny_sequence.frame(1).without_ground_truth())
+            system.process_once()
+            with pytest.raises(ConfigurationError,
+                               match=r"'pointcloud' of frame 0.*frame 1"):
+                kept.value
+            # Publishing frame 1 makes the same slot readable again.
+            system.update_outputs()
+            assert len(kept.value) > 0
+        finally:
+            system.clean()
+
+    def test_read_after_clean_raises(self, tiny_sequence):
+        system = _started(tiny_sequence, "fast")
+        kept = _step(system, tiny_sequence.frame(0)).get("pointcloud")
+        system.clean()
+        with pytest.raises(ConfigurationError,
+                           match=r"'pointcloud' of frame 0.*cleaned"):
+            kept.value
+        # Nor does a new run on the same system revive the old slot.
+        system.init(tiny_sequence.sensors)
+        try:
+            _step(system, tiny_sequence.frame(0))
+            with pytest.raises(ConfigurationError):
+                kept.value
+        finally:
+            system.clean()
+
+    def test_kept_output_does_not_keep_system_alive(self, tiny_sequence):
+        system = _started(tiny_sequence, "fast")
+        outputs = _step(system, tiny_sequence.frame(0))
+        alive = weakref.ref(system)
+        del system  # dropped without clean: no cycle may hold its buffers
+        assert alive() is None
+        with pytest.raises(ConfigurationError, match="released"):
+            outputs.get("pointcloud").value
+
+    @pytest.mark.parametrize("backend,volume_class", [
+        ("fast", TSDFVolume), ("sparse", SparseTSDFVolume),
+    ])
+    def test_unread_pointcloud_is_never_extracted(self, tiny_sequence,
+                                                  monkeypatch, backend,
+                                                  volume_class):
+        calls = []
+        extract = volume_class.extract_surface_points
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return extract(self, *args, **kwargs)
+
+        monkeypatch.setattr(volume_class, "extract_surface_points", counting)
+        run_benchmark(KinectFusion(kernel_backend=backend), tiny_sequence,
+                      configuration=SMALL_CONFIG)
+        assert calls == []
+
+
+def _with_depth_patch(sequence, index, value):
+    """``sequence`` with a 10x10 block of frame ``index`` set to ``value``."""
+    frames = list(sequence)
+    depth = frames[index].depth.copy()
+    depth[20:30, 30:40] = value
+    frames[index] = dataclasses.replace(frames[index], depth=depth)
+    return InMemorySequence(sequence.name, sequence.sensors, frames)
+
+
+class TestNonFiniteDepth:
+    @pytest.mark.parametrize("backend", ["fast", "reference", "sparse"])
+    def test_inf_patch_reads_as_missing_depth(self, tiny_sequence, backend):
+        patched = _with_depth_patch(tiny_sequence, 3, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_benchmark(KinectFusion(kernel_backend=backend),
+                                   patched, configuration=SMALL_CONFIG)
+        records = result.collector.records
+        assert len(records) == len(tiny_sequence)
+        assert all(isinstance(r.status, TrackingStatus) for r in records)
+        assert all(np.isfinite(r.pose).all() for r in records)
+        # inf is no measurement: the run matches one with the block at 0.
+        zeroed = run_benchmark(KinectFusion(kernel_backend=backend),
+                               _with_depth_patch(tiny_sequence, 3, 0.0),
+                               configuration=SMALL_CONFIG)
+        for got, want in zip(records, zeroed.collector.records):
+            assert got.status is want.status
+            assert got.pose.tobytes() == want.pose.tobytes()
+        assert records[3].valid_depth_fraction == \
+            zeroed.collector.records[3].valid_depth_fraction
