@@ -19,6 +19,9 @@ the order; systems just fill in the hooks.
 from __future__ import annotations
 
 import abc
+import dataclasses
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from .config import AlgorithmConfiguration, ParameterSpec
@@ -77,6 +80,15 @@ class SLAMSystem(abc.ABC):
             )
         frame = self._pending_frame
         self._pending_frame = None
+        # The one ingest boundary for depth, shared by every system:
+        # non-finite or negative readings become 0 ("no measurement")
+        # before any kernel sees them.  Clean input, the common case, is
+        # passed through uncopied.
+        depth = frame.depth
+        if not (np.isfinite(depth).all() and (depth >= 0.0).all()):
+            frame = dataclasses.replace(frame, depth=np.where(
+                np.isfinite(depth) & (depth > 0.0), depth, 0.0
+            ))
         workload = FrameWorkload(frame_index=frame.index)
         status = self.do_process(frame, workload)
         self._last_workload = workload

@@ -102,8 +102,7 @@ class JobRunner:
         return self.pool.workers
 
     def evaluate(self, evaluator: Evaluator,
-                 configurations: Sequence[Mapping],
-                 batch_size: int | None = None) -> list[Evaluation]:
+                 configurations: Sequence[Mapping]) -> list[Evaluation]:
         """Evaluate a batch of configurations, memoized through the store.
 
         Store hits cost nothing and count ``dse.cache_hits`` (the same
@@ -114,18 +113,15 @@ class JobRunner:
         error in ``extras`` — they are *not* persisted, so a rerun gets
         another chance at them.
 
-        ``batch_size`` caps how many configurations ride in one
-        submitted job.  The default (``None``) auto-chunks: serial
-        pools evaluate in place (chunking buys nothing), parallel pools
-        aim for ``_AUTO_JOBS_PER_WORKER`` jobs per worker so dispatch
-        overhead (queue round-trips, parent poll latency) is amortised
-        over several evaluations while load-balance survives uneven
+        Misses are chunked: serial pools evaluate one configuration per
+        job (chunking buys nothing), parallel pools aim for
+        ``_AUTO_JOBS_PER_WORKER`` jobs per worker so dispatch overhead
+        (queue round-trips, parent poll latency) is amortised over
+        several evaluations while load-balance survives uneven
         runtimes.  Retries and the per-job ``timeout_s`` apply to whole
         chunks: a crashed worker re-runs its chunk, a timeout must
-        cover ``batch_size`` evaluations.
+        cover every evaluation of one chunk.
         """
-        if batch_size is not None and batch_size < 1:
-            raise JobError(f"batch_size must be >= 1, got {batch_size}")
         configurations = [dict(c) for c in configurations]
         n = len(configurations)
         if n == 0:
@@ -150,12 +146,10 @@ class JobRunner:
         if not missing:
             return results  # type: ignore[return-value]
 
-        if batch_size is None:
-            if not self.pool.parallel:
-                batch_size = 1
-            else:
-                per_worker = self.workers * _AUTO_JOBS_PER_WORKER
-                batch_size = max(1, len(missing) // per_worker)
+        batch_size = 1
+        if self.pool.parallel:
+            per_worker = self.workers * _AUTO_JOBS_PER_WORKER
+            batch_size = max(1, len(missing) // per_worker)
         chunks = _chunk_indices(missing, batch_size)
 
         def chunk_progress(done_jobs: int, total_jobs: int) -> None:

@@ -25,7 +25,6 @@ time and energy.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 
 import numpy as np
@@ -196,14 +195,6 @@ class KinectFusion(SLAMSystem):
                 f"frame shape {frame.depth.shape} != sensor "
                 f"{self._input_camera.shape}"
             )
-        # The one ingest boundary for depth: non-finite or negative
-        # readings become 0 ("no measurement") before any kernel sees
-        # them.  Clean input, the common case, is passed through uncopied.
-        depth = frame.depth
-        if not (np.isfinite(depth).all() and (depth >= 0.0).all()):
-            frame = dataclasses.replace(frame, depth=np.where(
-                np.isfinite(depth) & (depth > 0.0), depth, 0.0
-            ))
         self._map_version += 1
         ctx = StageContext(
             frame=frame,
@@ -270,6 +261,8 @@ class KinectFusion(SLAMSystem):
         self.volume = None
         self._reference = None
         self._instance = None
+        self._workspace = None
+        self._last_render = None
 
     # -- graph-stage state access (repro.kfusion.graphdef) --------------------
     @property

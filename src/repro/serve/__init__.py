@@ -15,8 +15,7 @@ live health stats.
   telemetry-backed stats; synchronous stepping for tests and a scheduler
   thread for serving.
 * :mod:`~repro.serve.loadgen` — heavy-tailed multi-client load
-  generator and replay harness feeding ``repro serve`` and
-  ``bench_serve``.
+  generator and replay harness feeding ``repro serve``.
 """
 
 from .engine import ServeEngine

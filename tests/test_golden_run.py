@@ -147,6 +147,34 @@ class TestGoldenDeterminism:
         ]
 
 
+class TestGoldenSubsampledRun:
+    """The real-time knobs: ``compute_size_ratio=4`` at 160x120 is the
+    same 40x30 compute grid as 320x240 at ``compute_size_ratio=8``, and
+    ``integration_rate=3`` skips integrate on two frames in three."""
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        seq = icl_nuim.load("lr_kt0", n_frames=12, width=160, height=120,
+                            seed=0)
+        seq.materialize()
+        return seq
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_status_sequence(self, sequence, backend):
+        run = run_benchmark(
+            KinectFusion(kernel_backend=backend), sequence,
+            configuration={
+                "volume_resolution": 128,
+                "volume_size": 5.0,
+                "compute_size_ratio": 4,
+                "integration_rate": 3,
+            },
+            evaluate_accuracy=False,
+        )
+        statuses = [r.status.value for r in run.collector.records]
+        assert statuses == ["bootstrap"] + ["ok"] * 11
+
+
 class TestGoldenOdometry:
     @pytest.fixture(scope="class")
     def odometry_run(self):

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import icl_nuim
 from repro.errors import JobError, OptimizationError
 from repro.hypermapper import (
     HyperMapper,
+    MeasuredEvaluator,
     SurrogateEvaluator,
     kfusion_design_space,
     random_exploration,
@@ -28,6 +30,7 @@ from repro.jobs import (
     worker_rng,
     worker_shared,
 )
+from repro.platforms import odroid_xu3
 from repro.telemetry import Tracer, use_tracer
 
 
@@ -446,45 +449,39 @@ class TestJobRunner:
         assert _chunk_indices([7], 4) == [[7]]
         assert _chunk_indices(list(range(6)), 1) == [[i] for i in range(6)]
 
-    def test_explicit_batch_size_matches_unbatched(self):
+    def test_auto_chunks_match_direct(self):
+        # 17 misses over 2 workers: auto-chunking packs two per job.
         ev = SurrogateEvaluator()
         space = kfusion_design_space()
-        configs = space.sample_many(7, np.random.default_rng(4))
+        configs = space.sample_many(17, np.random.default_rng(4))
         direct = [SurrogateEvaluator().evaluate(c) for c in configs]
         with JobRunner(workers=2) as runner:
-            for batch_size in (1, 3, 100):
-                pooled = runner.evaluate(ev, configs, batch_size=batch_size)
-                assert ([e.to_dict() for e in pooled]
-                        == [e.to_dict() for e in direct]), batch_size
-
-    def test_batch_size_validated(self):
-        with JobRunner(workers=1) as runner:
-            with pytest.raises(JobError):
-                runner.evaluate(SurrogateEvaluator(), [{}], batch_size=0)
+            pooled = runner.evaluate(ev, configs)
+        assert [e.to_dict() for e in pooled] == [e.to_dict() for e in direct]
 
     def test_chunked_store_memoization(self, tmp_path):
         ev = SurrogateEvaluator()
         space = kfusion_design_space()
-        configs = space.sample_many(6, np.random.default_rng(5))
+        configs = space.sample_many(17, np.random.default_rng(5))
         store = EvaluationStore.open(tmp_path / "chunked.jsonl",
                                      context=ev.fingerprint())
         with JobRunner(workers=2, store=store) as runner:
-            runner.evaluate(ev, configs, batch_size=3)
-            assert len(store) == 6
-            runner.evaluate(ev, configs, batch_size=3)
-            assert store.hits == 6
+            runner.evaluate(ev, configs)
+            assert len(store) == 17
+            runner.evaluate(ev, configs)
+            assert store.hits == 17
         store.close()
 
     def test_chunked_progress_reaches_total(self):
         seen = []
         ev = SurrogateEvaluator()
         space = kfusion_design_space()
-        configs = space.sample_many(5, np.random.default_rng(6))
+        configs = space.sample_many(17, np.random.default_rng(6))
         with JobRunner(workers=2,
                        progress=lambda d, t: seen.append((d, t))) as runner:
-            runner.evaluate(ev, configs, batch_size=2)
-        assert seen[-1] == (5, 5)
-        assert all(t == 5 and 0 <= d <= 5 for d, t in seen)
+            runner.evaluate(ev, configs)
+        assert seen[-1] == (17, 17)
+        assert all(t == 17 and 0 <= d <= 17 for d, t in seen)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
 
@@ -519,6 +516,24 @@ class TestGoldenDeterminism:
         with JobRunner(workers=4) as runner:
             parallel = random_exploration(space, SurrogateEvaluator(), 8,
                                           seed=3, runner=runner)
+        assert serial.objective_matrix().tobytes() == \
+            parallel.objective_matrix().tobytes()
+
+    def test_measured_random_exploration_workers_identical(self):
+        """The real pipeline, not the surrogate: a 2-worker pool must
+        reproduce the serial objective bytes."""
+        sequence = icl_nuim.load("lr_kt0", n_frames=3, width=32, height=24,
+                                 seed=0)
+
+        def explore(runner=None):
+            evaluator = MeasuredEvaluator(sequence, odroid_xu3(), cache=False)
+            return random_exploration(kfusion_design_space(), evaluator, 4,
+                                      seed=0, runner=runner)
+
+        serial = explore()
+        with JobRunner(workers=2) as runner:
+            parallel = explore(runner)
+        assert not all(e.failed for e in serial.evaluations)
         assert serial.objective_matrix().tobytes() == \
             parallel.objective_matrix().tobytes()
 

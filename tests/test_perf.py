@@ -11,6 +11,9 @@ Three layers:
   within the documented float32 tolerance (DESIGN.md S17).
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +58,23 @@ PARAMS = KFusionParams(volume_resolution=48, volume_size=5.0)
 
 def make_ws(camera=CAM, params=PARAMS):
     return FrameWorkspace(camera, params, levels=3)
+
+
+def _run_uncleaned(sequence, **kwargs) -> KinectFusion:
+    """KinectFusion after every frame of ``sequence``, not yet cleaned.
+
+    Driven by hand because ``run_benchmark`` ends with ``clean``, which
+    releases the arena.
+    """
+    system = KinectFusion(**kwargs)
+    system.new_configuration().update({
+        "volume_resolution": 64, "volume_size": 5.0,
+    })
+    system.init(sequence.sensors)
+    for frame in sequence:
+        system.update_frame(frame)
+        system.process_once()
+    return system
 
 
 def synthetic_depth(camera=CAM, seed=0, hole_fraction=0.15):
@@ -116,13 +136,22 @@ class TestFrameWorkspace:
         seq = icl_nuim.load("lr_kt0", n_frames=3, width=64, height=48,
                             seed=0)
         seq.materialize()
-        system = KinectFusion(kernel_backend="fast")
-        run_benchmark(system, seq, configuration={
-            "volume_resolution": 64, "volume_size": 5.0,
-        }, evaluate_accuracy=False)
-        ws = system._workspace
+        ws = _run_uncleaned(seq, kernel_backend="fast")._workspace
         assert ws is not None and len(ws) > 0
         assert ws.nbytes <= ws.budget_bytes
+
+    @pytest.mark.parametrize("backend", ["fast", "sparse"])
+    def test_clean_releases_arena(self, backend):
+        seq = icl_nuim.load("lr_kt0", n_frames=2, width=64, height=48,
+                            seed=0)
+        system = _run_uncleaned(seq, kernel_backend=backend,
+                                publish_render=True)
+        arena = weakref.ref(system._workspace)
+        assert system._last_render is not None
+        system.clean()
+        gc.collect()
+        assert arena() is None
+        assert system._last_render is None
 
 
 # ---------------------------------------------------------------------------

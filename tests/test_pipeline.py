@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.baselines.odometry import ICPOdometry
+from repro.baselines.sparse import SparseOdometry
 from repro.core import TrackingStatus, run_benchmark
 from repro.datasets.base import InMemorySequence
 from repro.errors import ConfigurationError
@@ -251,3 +253,15 @@ class TestNonFiniteDepth:
             assert got.pose.tobytes() == want.pose.tobytes()
         assert records[3].valid_depth_fraction == \
             zeroed.collector.records[3].valid_depth_fraction
+
+    @pytest.mark.parametrize("system_class", [ICPOdometry, SparseOdometry])
+    def test_baselines_share_the_ingest_boundary(self, tiny_sequence,
+                                                 system_class):
+        patched = _with_depth_patch(tiny_sequence, 3, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = run_benchmark(system_class(), patched)
+        records = result.collector.records
+        assert len(records) == len(tiny_sequence)
+        assert all(isinstance(r.status, TrackingStatus) for r in records)
+        assert all(np.isfinite(r.pose).all() for r in records)

@@ -506,16 +506,31 @@ class TestLoadgen:
         with pytest.raises(ServeError):
             LoadSpec(**kwargs)
 
-    def test_run_load_sync_accounts_every_frame(self, tiny_sequence):
+    @pytest.mark.parametrize("algorithm,configuration,capacity,speed", [
+        pytest.param("static", None, 8, 200.0, id="static"),
+        # Overload: the whole timeline is due within the first service
+        # round, so the two-deep queues must drop, and count, the excess.
+        pytest.param("kfusion", {"volume_resolution": 32,
+                                 "volume_size": 4.8}, 2, 1e4,
+                     id="kfusion-overload"),
+    ])
+    def test_run_load_sync_accounts_every_frame(self, tiny_sequence,
+                                                algorithm, configuration,
+                                                capacity, speed):
         engine = ServeEngine(InProcessTransport(),
-                             policy=ServePolicy(queue_capacity=8))
-        spec = LoadSpec(clients=4, frames_per_client=5, speed=200.0,
+                             policy=ServePolicy(queue_capacity=capacity))
+        spec = LoadSpec(clients=4, frames_per_client=5, speed=speed,
                         seed=3)
-        report = run_load(engine, tiny_sequence, spec, algorithm="static")
+        report = run_load(engine, tiny_sequence, spec, algorithm=algorithm,
+                          configuration=configuration)
         assert report.offered_frames == 20
         frames = report.engine_stats["frames"]
         assert frames["processed"] + frames["dropped"] == 20
-        assert report.engine_stats["sessions"]["by_state"] == {"closed": 4}
+        if algorithm == "kfusion":
+            assert frames["dropped"] > 0
+        sessions = report.engine_stats["sessions"]
+        assert sessions["crashed"] == 0
+        assert sessions["by_state"] == {"closed": 4}
         assert report.as_dict()["spec"]["clients"] == 4
 
     def test_run_load_threaded_requires_running_engine(self, tiny_sequence):

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import run_benchmark
 from repro.datasets import icl_nuim
 from repro.errors import ConfigurationError
 from repro.geometry import PinholeCamera, se3
@@ -286,10 +285,16 @@ class TestSparseKernelEquivalence:
         seq = icl_nuim.load("lr_kt0", n_frames=3, width=64, height=48,
                             seed=0)
         seq.materialize()
+        # Driven by hand: ``run_benchmark`` cleans the system, and clean
+        # releases the arena.
         system = KinectFusion(kernel_backend="sparse")
-        run_benchmark(system, seq, configuration={
+        system.new_configuration().update({
             "volume_resolution": 64, "volume_size": 5.0,
-        }, evaluate_accuracy=False)
+        })
+        system.init(seq.sensors)
+        for frame in seq:
+            system.update_frame(frame)
+            system.process_once()
         ws = system._workspace
         assert ws is not None and len(ws) > 0
         assert ws.nbytes <= ws.budget_bytes
