@@ -16,8 +16,8 @@ hash of packed block coordinates:
   float32 tsdf/weight block arrays, plus the allocation API the sparse
   kernels (:mod:`repro.perf.sparse_integrate`,
   :mod:`repro.perf.sparse_raycast`) drive: ``ensure_blocks`` /
-  ``lookup_blocks`` and the block-occupancy masks raycast space-skipping
-  classifies against.  A dense coord->slot mirror of the hash
+  ``lookup_blocks`` and the sub-block ``nonpositive_mask`` the raycaster
+  skips space against.  A dense coord->slot mirror of the hash
   (``block_slot_table``) serves the per-sample lookups on the raycast
   hot path as a single flat gather.
 
@@ -37,6 +37,17 @@ from ..errors import ConfigurationError
 BLOCK = 8
 #: Voxels per block.
 BLOCK_VOXELS = BLOCK**3
+#: Voxels per sub-block edge of the non-positive mask (2^3 voxels).
+SUB = 2
+#: A TSDF voxel at or above this floor cannot make a valid trilinear
+#: sample non-positive: the largest corner weight is >= 1/8, so its
+#: product with the voxel stays a positive normal float32 and every other
+#: corner only adds a non-negative term.  (``<= 0`` would miss subnormal
+#: voxels whose product underflows to 0.)
+NONPOS_FLOOR = np.float32(2.0**-60)
+#: Blocks per chunk of the mask rebuild (fixed scratch, no per-call
+#: allocation).
+_REFRESH_CHUNK = 128
 
 #: Bits reserved per packed block coordinate axis.
 _PACK_BITS = 20
@@ -223,11 +234,17 @@ class SparseTSDFVolume:
         self._alloc_arrays(self._initial_blocks)
         self.hash = BlockHash()
         nb = self.blocks_per_side
-        # Allocated-block occupancy, plus its 3^3 dilation: a sample whose
-        # block is False in the dilated mask cannot touch allocated data
-        # with any trilinear corner — the raycaster's space-skip test.
-        self.block_occupancy = np.zeros((nb, nb, nb), dtype=bool)
-        self.block_occupancy_dilated = np.zeros((nb, nb, nb), dtype=bool)
+        ns = nb * (BLOCK // SUB)
+        # Sub-block s is set when a trilinear sample whose base voxel lies
+        # in s may read <= 0: some voxel of s or of its forward neighbours
+        # (s + {0,1}^3, which hold the sample's other corners) is below
+        # NONPOS_FLOOR.  Any sample clear here reads > 0 or is invalid —
+        # the raycaster's space-skip test.  Rebuilt by
+        # refresh_nonpositive_mask() after each fuse.
+        self.nonpositive_mask = np.zeros((ns, ns, ns), dtype=bool)
+        self._sub_flags = np.zeros((ns, ns, ns), dtype=bool)
+        self._voxel_flags = np.zeros(
+            (_REFRESH_CHUNK, BLOCK, BLOCK, BLOCK), dtype=bool)
         # Dense coord -> slot acceleration table (-1 = unallocated).  The
         # hash stays the canonical mapping; this mirror turns the per-
         # sample block lookups on the raycast hot path into one flat
@@ -257,16 +274,15 @@ class SparseTSDFVolume:
         per_block = (self.tsdf_blocks.itemsize + self.weight_blocks.itemsize) \
             * BLOCK_VOXELS + self.block_coords.itemsize * 3
         return (self._n_alloc * per_block + self.hash.nbytes
-                + self.block_occupancy.nbytes
-                + self.block_occupancy_dilated.nbytes
+                + self.nonpositive_mask.nbytes + self._sub_flags.nbytes
+                + self._voxel_flags.nbytes
                 + self.block_slot_table.nbytes)
 
     def reset(self) -> None:
         """Clear to the empty state (drops all allocated blocks)."""
         self._alloc_arrays(self._initial_blocks)
         self.hash = BlockHash()
-        self.block_occupancy[:] = False
-        self.block_occupancy_dilated[:] = False
+        self.nonpositive_mask[:] = False
         self.block_slot_table[:] = -1
         self._n_alloc = 0
 
@@ -275,8 +291,8 @@ class SparseTSDFVolume:
         """Slots for ``(N, 3)`` block coords, allocating the missing ones.
 
         Coordinates must lie in ``[0, blocks_per_side)``; duplicates are
-        fine.  Newly allocated blocks start at the empty state and are
-        folded into the occupancy masks.
+        fine.  Newly allocated blocks start at the empty state (tsdf 1.0),
+        so the non-positive mask needs no update.
         """
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
@@ -303,7 +319,6 @@ class SparseTSDFVolume:
             self.hash.insert(pack_block_coords(new_coords), new_slots)
             self.block_slot_table[new_flat] = new_slots
             self._n_alloc = start + int(new_flat.size)
-            self._mark_occupancy(new_coords)
             slots = self.block_slot_table[flat]
         return slots
 
@@ -320,21 +335,40 @@ class SparseTSDFVolume:
         self.tsdf_blocks, self.weight_blocks = tsdf, weight
         self.block_coords = coords
 
-    def _mark_occupancy(self, new_coords: np.ndarray) -> None:
+    def refresh_nonpositive_mask(self) -> None:
+        """Rebuild :attr:`nonpositive_mask` from the block data.
+
+        Call after any write to :attr:`tsdf_blocks`.  Flags each 2^3
+        sub-block holding a voxel below :data:`NONPOS_FLOOR` (pairwise
+        ORs per axis, a chunk of blocks at a time), then dilates forward
+        by one sub-block per axis so one gather at ``base_voxel >> 1``
+        covers all 8 trilinear corners.
+        """
+        flags = self._sub_flags
+        flags[:] = False
         nb = self.blocks_per_side
-        bx, by, bz = new_coords[:, 0], new_coords[:, 1], new_coords[:, 2]
-        self.block_occupancy[bx, by, bz] = True
-        # Incremental 3^3 dilation around each new block, clipped at the
-        # grid edge (few new blocks per frame, so 27 fancy writes beat a
-        # full-grid convolution).
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    self.block_occupancy_dilated[
-                        np.clip(bx + dx, 0, nb - 1),
-                        np.clip(by + dy, 0, nb - 1),
-                        np.clip(bz + dz, 0, nb - 1),
-                    ] = True
+        per = BLOCK // SUB
+        flags6 = flags.reshape(nb, per, nb, per, nb, per)
+        vf = self._voxel_flags
+        for at in range(0, self._n_alloc, _REFRESH_CHUNK):
+            b = min(_REFRESH_CHUNK, self._n_alloc - at)
+            f = vf[:b]
+            np.less(self.tsdf_blocks[at:at + b].reshape(f.shape),
+                    NONPOS_FLOOR, out=f)
+            f[:, 0::2] |= f[:, 1::2]
+            f = f[:, 0::2]
+            f[:, :, 0::2] |= f[:, :, 1::2]
+            f = f[:, :, 0::2]
+            f[:, :, :, 0::2] |= f[:, :, :, 1::2]
+            c = self.block_coords[at:at + b]
+            flags6[c[:, 0], :, c[:, 1], :, c[:, 2], :] = f[:, :, :, 0::2]
+        m = self.nonpositive_mask
+        np.copyto(m, flags)
+        m[:-1] |= flags[1:]
+        np.copyto(flags, m)
+        m[:, :-1] |= flags[:, 1:]
+        np.copyto(flags, m)
+        m[:, :, :-1] |= flags[:, :, 1:]
 
     def lookup_blocks(self, coords: np.ndarray) -> np.ndarray:
         """Slots for ``(N, 3)`` block coords (``-1`` where unallocated)."""

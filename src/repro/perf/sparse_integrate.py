@@ -336,4 +336,6 @@ def integrate(
         flat_t[tgt] = (flat_t[tgt] * w_old + tsdf_new) / w_new
         flat_w[tgt] = w_new
         updated += int(idx.size)
+    if updated:
+        volume.refresh_nonpositive_mask()
     return updated

@@ -8,22 +8,22 @@ one, linear refinement between them — restructured as a segmented
 * **Volume clipping** — per-ray entry/exit distances against the volume
   AABB (one slab test up front) bound each ray's emission range; rays
   retire between segments once past their exit.
-* **Block skipping** — a sample whose 8³ block is clear in the volume's
-  *dilated* occupancy mask cannot touch allocated data with any
-  trilinear corner, so its value is exactly the empty-state 1.0 without
-  sampling; one flat gather over a whole segment tile prunes those
-  samples with no per-step loop at all.
+* **Crossing-candidate skipping** — a valid trilinear sample can read
+  ``<= 0`` only if one of its 8 corner voxels is below
+  :data:`~repro.kfusion.sparse.NONPOS_FLOOR`, which the volume's 2³
+  sub-block ``nonpositive_mask`` records (forward-dilated, so one
+  gather at the sample's base voxel ``>> 1`` tests all 8 corners).  A
+  crossing pair is a positive sample followed by such a sample, so
+  each segment tile keeps only flagged samples and their
+  t-predecessors; every other sample is left unsampled.
 
-Sampling near allocated blocks goes through a trilinear gather that is
-bit-identical to :func:`repro.perf.trilinear.sample_f32` over the block
-data (same op order, same corner order), so hits land where the dense
-fast raycaster puts them wherever the truncation band was allocated.
-Skipped samples stay *invalid*: a zero crossing's positive-side sample
-always lies within one march step of the surface, inside the allocated
-band front, so every dense hit still has a sampled valid predecessor —
-while a ray arriving from unobserved (never-carved) space produces no
-crossing in either backend.  Residual divergence against the dense
-raycaster is limited to free space the dense integrate carved but the
+Kept samples go through a trilinear gather that is bit-identical to
+:func:`repro.perf.trilinear.sample_f32` over the block data (same op
+order, same corner order), and every crossing pair the dense march
+would evaluate is still evaluated, so over the same voxels the hits are
+bit-identical to the dense fast raycaster (tests/test_sparse_volume.py
+checks this against random volumes).  Residual divergence against a
+dense *run* is limited to free space the dense integrate carved but the
 band allocator skips, and is bounded end-to-end by the
 golden-equivalence suite (identical status sequences, ATE within 2%).
 """
@@ -114,55 +114,6 @@ def sample_sparse_f32(
     return values, valid
 
 
-def _sample_scheduled(
-    volume: SparseTSDFVolume,
-    points: np.ndarray,
-    ix: np.ndarray,
-    iy: np.ndarray,
-    iz: np.ndarray,
-    cb: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_sparse_f32` fast path for scheduled march samples.
-
-    The segment tile already derived each sample's clipped corner voxel
-    coordinates ``ix``/``iy``/``iz`` and corner block indices ``cb``,
-    and its emission test proved every corner block allocated — so the
-    slot lookups cannot miss and the empty-state fixups vanish.  The
-    arithmetic is the same op sequence as :func:`sample_sparse_f32`
-    (same floor/frac, same weight grouping, same corner accumulation
-    order), so the float32 results are bit-equal.
-    """
-    r = volume.resolution
-    inv_voxel = np.float32(1.0 / volume.voxel_size)
-    p = points * inv_voxel
-    p -= np.float32(0.5)
-    fl = np.floor(p)
-    frac = p - fl
-    inside = ((fl >= 0) & (fl <= r - 2)).all(axis=-1)
-
-    local = ((ix & 7) * BLOCK + (iy & 7)) * BLOCK + (iz & 7)
-    slots = volume.block_slot_table.take(cb)
-    flat = slots * np.int32(BLOCK_VOXELS) + local
-    tv = volume.tsdf_blocks.reshape(-1).take(flat)
-    wv = volume.weight_blocks.reshape(-1).take(flat)
-
-    one = np.float32(1.0)
-    fx, fy, fz = frac[:, 0:1], frac[:, 1:2], frac[:, 2:3]
-    w = np.where(_OXB, fx, one - fx)  # effect-ok: batch-sized
-    w = w * np.where(_OYB, fy, one - fy)  # effect-ok: batch-sized
-    w *= np.where(_OZB, fz, one - fz)
-    w *= tv
-
-    values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    # (same sequential corner accumulation as trilinear.sample_f32)
-    for c in range(8):
-        values += w[:, c]
-
-    valid = inside & (wv > 0.0).all(axis=-1)
-    values[~valid] = np.float32(1.0)
-    return values, valid
-
-
 def gradient_sparse_f32(volume: SparseTSDFVolume,
                         points: np.ndarray) -> np.ndarray:
     """Central-difference gradient via the sparse sampler (cf.
@@ -225,21 +176,18 @@ def raycast_model(
     The march grid is the dense raycaster's t-sequence crossed with the
     live rays.  Instead of stepping rays one sample at a time, each
     iteration takes a *segment* of ``SEGMENT_STEPS`` consecutive grid
-    indices and tests every (ray, index) pair at once: block occupancy
-    (dilated) prefilters the tile in one flat gather, then the
-    surviving samples' 8 trilinear corner blocks are checked and only
-    samples with all corners allocated are evaluated — any other
-    sample has a weight-0 corner by construction, so it is invalid and
-    reads 1.0 without sampling.  ``np.flatnonzero`` over the C-ordered
-    tile yields the evaluated samples ray-major and t-ascending for
-    free, so each ray's first zero crossing is selected vectorised: a
-    crossing is two *t-adjacent* samples, both valid, spanning the
-    sign change — exactly the step-by-step march's ``prev``/current
-    test, because a sample skipped between them would have been
-    invalid and broken the pair.  Rays whose first crossing is found
-    retire between segments (the dense march would have stopped
-    there); segments share their boundary index, so a crossing pair
-    straddling the cut reforms in the next segment.
+    indices and tests every (ray, index) pair at once: one flat gather
+    from the volume's non-positive sub-block mask flags the samples
+    that may read ``<= 0``, and only those and their t-predecessors are
+    sampled — any other sample reads > 0 or is invalid, and no crossing
+    pair can contain it.  ``np.flatnonzero`` over the C-ordered tile
+    yields the evaluated samples ray-major and t-ascending for free, so
+    each ray's first zero crossing is selected vectorised: a crossing is
+    two *t-adjacent* samples, both valid, spanning the sign change —
+    exactly the step-by-step march's ``prev``/current test.  Rays whose
+    first crossing is found retire between segments (the dense march
+    would have stopped there); segments share their boundary index, so
+    a crossing pair straddling the cut re-forms in the next segment.
     """
     if far is None:
         far = float(np.sqrt(3.0)) * volume.size + near
@@ -261,10 +209,8 @@ def raycast_model(
     tx = ws.buffer("rc_t_exit", (n_rays,))
     _volume_slab(origin, dirs_all, volume.size, near, te, tx)
 
-    inv_bm = np.float32(1.0 / (BLOCK * volume.voxel_size))
-    nb = volume.blocks_per_side
-    occ_flat = volume.block_occupancy_dilated.reshape(-1)
-    alloc_flat = volume.block_occupancy.reshape(-1)
+    ns = volume.nonpositive_mask.shape[0]
+    nonpos_flat = volume.nonpositive_mask.reshape(-1)
 
     # The dense raycaster advances every live ray by the same float32
     # ``t += step`` accumulation, so all its rays share one t-sequence.
@@ -299,60 +245,51 @@ def raycast_model(
         e = min(s + SEGMENT_STEPS, last)
         t_seg = ts[s:e + 1]
         k = t_seg.size
-        # (rays, k) tile: in-bounds candidates whose 8^3 block is set in
-        # the dilated occupancy — everything else reads 1.0 unsampled.
-        cand = t_seg[None, :] >= lb[:, None]  # effect-ok: tile-sized
-        cand &= t_seg[None, :] <= ub[:, None]
+        # (rays, k) tile of in-bounds samples that may read <= 0: the
+        # sampler's own base voxel (same ops, same clip) gathered from
+        # the sub-block non-positive mask.
         pts = origin + t_seg[None, :, None] * dirs[:, None, :]
-        blk = pts * inv_bm  # effect-ok: tile-sized
-        np.floor(blk, out=blk)
-        blk = blk.astype(np.int32)
-        np.clip(blk, 0, nb - 1, out=blk)
-        bidx = (blk[..., 0] * np.int32(nb) + blk[..., 1]) \
-            * np.int32(nb) + blk[..., 2]
-        dil = occ_flat.take(bidx)
-        dil &= cand
+        p = pts * inv_vox  # effect-ok: tile-sized
+        p -= np.float32(0.5)
+        np.floor(p, out=p)
+        base = p.astype(np.int32)
+        np.clip(base, 0, r - 2, out=base)
+        base >>= 1
+        sidx = (base[..., 0] * np.int32(ns) + base[..., 1]) \
+            * np.int32(ns) + base[..., 2]
+        flag = nonpos_flat.take(sidx)
+        flag &= t_seg[None, :] >= lb[:, None]
+        flag &= t_seg[None, :] <= ub[:, None]
+        # A crossing is a positive sample followed by a flagged one, so
+        # keep the flagged samples and their t-predecessors.  The last
+        # column's pair with the next index re-forms in the next segment.
+        sampled = flag.copy()
+        sampled[:, :-1] |= flag[:, 1:]
         # C-order flatnonzero enumerates the tile ray-major and
         # t-ascending — exactly the order the crossing scan needs.
-        rows = np.flatnonzero(dil.reshape(-1))  # effect-ok: tile-sized
+        rows = np.flatnonzero(sampled.reshape(-1))  # effect-ok: tile-sized
         if rows.size:
-            pf = pts.reshape(-1, 3)[rows]
-            p = pf * inv_vox  # effect-ok: batch-sized
-            p -= np.float32(0.5)
-            base = np.floor(p).astype(np.int32)
-            np.clip(base, 0, r - 2, out=base)
-            ix = base[:, 0:1] + _OX  # effect-ok: batch-sized
-            iy = base[:, 1:2] + _OY  # effect-ok: batch-sized
-            iz = base[:, 2:3] + _OZ  # effect-ok: batch-sized
-            cb = ((ix >> 3) * np.int32(nb) + (iy >> 3)) * np.int32(nb) \
-                + (iz >> 3)
-            emit = alloc_flat.take(cb).all(axis=1)
-            if emit.any():
-                sel = rows[emit]  # effect-ok: batch-sized
-                ray_l = sel // k
-                tidx_o = s + sel % k
-                v, valid = _sample_scheduled(
-                    volume, pf[emit], ix[emit], iy[emit], iz[emit],
-                    cb[emit],
-                )
+            ray_l = rows // k
+            tidx_o = s + rows % k
+            v, valid = sample_sparse_f32(volume, pts.reshape(-1, 3)[rows])
 
-                same = ray_l[1:] == ray_l[:-1]
-                same &= tidx_o[1:] == tidx_o[:-1] + 1
-                same &= valid[:-1] & valid[1:]
-                same &= v[:-1] > 0.0
-                same &= v[1:] <= 0.0
-                j = np.flatnonzero(same)  # effect-ok: hit-sized
-                if j.size:
-                    uniq, first = np.unique(ray_l[j], return_index=True)
-                    jj = j[first]
-                    f0 = v[jj]
-                    f1 = v[jj + 1]
-                    denom = np.where(np.abs(f0 - f1) > 1e-12, f0 - f1,
-                                     np.float32(1e-12))
-                    g = alive[uniq]
-                    hit_t[g] = (ts[tidx_o[jj] + 1] - step) \
-                        + (f0 / denom) * step
-                    hit[g] = True
+            same = ray_l[1:] == ray_l[:-1]
+            same &= tidx_o[1:] == tidx_o[:-1] + 1
+            same &= valid[:-1] & valid[1:]
+            same &= v[:-1] > 0.0
+            same &= v[1:] <= 0.0
+            j = np.flatnonzero(same)  # effect-ok: hit-sized
+            if j.size:
+                uniq, first = np.unique(ray_l[j], return_index=True)
+                jj = j[first]
+                f0 = v[jj]
+                f1 = v[jj + 1]
+                denom = np.where(np.abs(f0 - f1) > 1e-12, f0 - f1,
+                                 np.float32(1e-12))
+                g = alive[uniq]
+                hit_t[g] = (ts[tidx_o[jj] + 1] - step) \
+                    + (f0 / denom) * step
+                hit[g] = True
         if e >= last:
             break
         # Retire rays that found their crossing or left their bounds;

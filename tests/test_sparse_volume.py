@@ -10,6 +10,10 @@ Three layers:
 * **integrate/raycast bit-equivalence** — within allocated blocks the
   sparse kernels reproduce the dense fast kernels *bit-for-bit* (the
   foundation of the sparse backend's golden equivalence; DESIGN.md S22).
+* **Non-positive mask** — the sub-block mask the raycaster skips space
+  against equals a from-scratch rebuild after every fuse, and over
+  random volumes the sparse raycast stays bit-identical to the dense
+  fast raycast of the densified volume.
 """
 
 import numpy as np
@@ -25,6 +29,8 @@ from repro.kfusion.memory import stage_workspace_bytes, workspace_bytes
 from repro.kfusion.params import KFusionParams
 from repro.kfusion.sparse import (
     BLOCK,
+    NONPOS_FLOOR,
+    SUB,
     BlockHash,
     SparseTSDFVolume,
     pack_block_coords,
@@ -159,10 +165,6 @@ class TestSparseVolume:
         mask = np.ones(nb**3, dtype=bool)
         mask[flat] = False
         assert np.all(vol.block_slot_table[mask] == -1)
-        # Occupancy mask matches the allocation set exactly.
-        occ = np.zeros(nb**3, dtype=bool)
-        occ[flat] = True
-        np.testing.assert_array_equal(vol.block_occupancy.reshape(-1), occ)
 
     def test_lookup_unallocated_is_minus_one(self):
         vol = SparseTSDFVolume(resolution=48, size=5.0)
@@ -187,7 +189,6 @@ class TestSparseVolume:
         vol.reset()
         assert vol.allocated_blocks == 0
         assert vol.allocated_bytes < before
-        assert not vol.block_occupancy.any()
         assert np.all(vol.block_slot_table == -1)
 
     def test_growth_preserves_content(self):
@@ -238,9 +239,10 @@ class TestSparseKernelEquivalence:
                                                          integrated_pair):
         dense, sparse, _, _, _ = integrated_pair
         s_tsdf, s_weight = sparse.densify()
+        nb = sparse.blocks_per_side
+        occupancy = sparse.block_slot_table.reshape(nb, nb, nb) >= 0
         allocated = np.repeat(
-            np.repeat(np.repeat(sparse.block_occupancy, BLOCK, 0),
-                      BLOCK, 1), BLOCK, 2)
+            np.repeat(np.repeat(occupancy, BLOCK, 0), BLOCK, 1), BLOCK, 2)
         r = sparse.resolution
         allocated = allocated[:r, :r, :r]
         assert allocated.any()
@@ -311,3 +313,193 @@ class TestSparseKernelEquivalence:
         assert pts.shape[1] == 3
         if len(pts):
             assert np.all((pts >= 0) & (pts <= sparse.size))
+
+
+# ---------------------------------------------------------------------------
+# Non-positive sub-block mask
+# ---------------------------------------------------------------------------
+def rebuilt_nonpositive_mask(vol):
+    """From-scratch oracle: flag 2^3 sub-blocks of the densified grid
+    holding a voxel below the floor, then OR each sub-block with its
+    forward neighbours (s + {0,1}^3)."""
+    nbv = vol.blocks_per_side * BLOCK
+    tsdf = np.ones((nbv,) * 3, dtype=np.float32)
+    r = vol.resolution
+    tsdf[:r, :r, :r] = vol.densify()[0]
+    ns = nbv // SUB
+    sub = (tsdf < NONPOS_FLOOR).reshape(ns, SUB, ns, SUB, ns, SUB) \
+        .any(axis=(1, 3, 5))
+    padded = np.pad(sub, ((0, 1),) * 3)
+    out = np.zeros_like(sub)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                out |= padded[dx:dx + ns, dy:dy + ns, dz:dz + ns]
+    return out
+
+
+class TestNonPositiveMask:
+    def test_matches_rebuild_after_every_fuse(self):
+        """Over a moving lr_kt0 run, each fuse leaves the mask equal to a
+        from-scratch rebuild — including sub-blocks whose flag turns
+        off when later frames carve a voxel back above zero."""
+        seq = icl_nuim.load("lr_kt0", n_frames=12, width=64, height=48,
+                            seed=0)
+        seq.materialize()
+        system = KinectFusion(kernel_backend="sparse")
+        system.new_configuration().update({
+            "volume_resolution": 64, "volume_size": 5.0,
+            "integration_rate": 1,
+        })
+        system.init(seq.sensors)
+        prev = None
+        turned_off = 0
+        for frame in seq:
+            system.update_frame(frame)
+            system.process_once()
+            mask = system.volume.nonpositive_mask
+            np.testing.assert_array_equal(
+                mask, rebuilt_nonpositive_mask(system.volume))
+            if prev is not None:
+                turned_off += int(np.count_nonzero(prev & ~mask))
+            prev = mask.copy()
+        assert prev.any()
+        assert turned_off > 0
+
+    def test_reset_clears(self):
+        vol = SparseTSDFVolume(resolution=48, size=5.0)
+        slot = int(vol.ensure_blocks(np.array([[2, 2, 2]]))[0])
+        vol.tsdf_blocks[slot, 0] = np.float32(-0.5)
+        vol.refresh_nonpositive_mask()
+        assert vol.nonpositive_mask.any()
+        vol.reset()
+        assert not vol.nonpositive_mask.any()
+
+    @pytest.mark.parametrize("value", [-0.5, 0.0, -0.0, 1e-45, 2.0**-70])
+    def test_flags_values_below_floor(self, value):
+        """A voxel flags its own sub-block and the sub-blocks whose
+        samples reach it as a corner (backward along every axis)."""
+        vol = SparseTSDFVolume(resolution=48, size=5.0)
+        slot = int(vol.ensure_blocks(np.array([[2, 2, 2]]))[0])
+        # Local voxel (2, 4, 6) of block (2, 2, 2): sub-block (9, 10, 11).
+        vol.tsdf_blocks[slot, (2 * BLOCK + 4) * BLOCK + 6] = \
+            np.float32(value)
+        vol.refresh_nonpositive_mask()
+        got = np.argwhere(vol.nonpositive_mask)
+        want = np.argwhere(np.ones((2, 2, 2), dtype=bool)) + [8, 9, 10]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(vol.nonpositive_mask,
+                                      rebuilt_nonpositive_mask(vol))
+
+    def test_floor_and_above_stay_clear(self):
+        vol = SparseTSDFVolume(resolution=48, size=5.0)
+        slot = int(vol.ensure_blocks(np.array([[2, 2, 2]]))[0])
+        vol.tsdf_blocks[slot, :3] = [NONPOS_FLOOR, np.float32(1e-3), 0.5]
+        vol.refresh_nonpositive_mask()
+        assert not vol.nonpositive_mask.any()
+
+    def test_growth_keeps_mask(self):
+        vol = SparseTSDFVolume(resolution=48, size=5.0, initial_blocks=64)
+        slot = int(vol.ensure_blocks(np.array([[2, 2, 2]]))[0])
+        vol.tsdf_blocks[slot, 5] = np.float32(-0.25)
+        vol.refresh_nonpositive_mask()
+        before = vol.nonpositive_mask.copy()
+        vol.ensure_blocks(np.stack(np.meshgrid(*(np.arange(5),) * 3,
+                                               indexing="ij"),
+                                   axis=-1).reshape(-1, 3))
+        assert vol.allocated_blocks > 64
+        np.testing.assert_array_equal(vol.nonpositive_mask, before)
+        vol.refresh_nonpositive_mask()
+        np.testing.assert_array_equal(vol.nonpositive_mask, before)
+
+    def test_allocated_bytes_counts_mask(self):
+        vol = SparseTSDFVolume(resolution=48, size=5.0)
+        assert vol.allocated_blocks == 0
+        assert vol.allocated_bytes >= vol.nonpositive_mask.nbytes \
+            + vol.block_slot_table.nbytes + vol.hash.nbytes
+        assert vol.nonpositive_mask.shape == (24, 24, 24)
+
+
+#: Tiny and signed-zero TSDF values planted into random volumes: each
+#: sits below the mask floor although some are not negative.
+_TINY = np.array([1e-45, 2.0**-70, 0.0, -0.0], dtype=np.float32)
+
+
+def random_sparse_volume(rng, resolution, size, mu, sphere):
+    """A plane or sphere SDF written into a random subset of the blocks
+    near its surface, with partial weights and planted tiny values."""
+    vol = SparseTSDFVolume(resolution=resolution, size=size)
+    nb = vol.blocks_per_side
+    nbv = nb * BLOCK
+    centres = (np.stack(np.meshgrid(*(np.arange(nbv),) * 3,
+                                    indexing="ij"), axis=-1)
+               + 0.5) * vol.voxel_size
+    if sphere:
+        centre = rng.uniform(0.3, 0.7, 3) * size
+        radius = rng.uniform(0.15, 0.35) * size
+        sdf = np.linalg.norm(centres - centre, axis=-1) - radius
+    else:
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        sdf = (centres - rng.uniform(0.4, 0.6, 3) * size) @ normal
+    tsdf = np.clip(sdf / mu, -1.0, 1.0).astype(np.float32)
+    weight = rng.integers(1, 50, tsdf.shape).astype(np.float32)
+    weight[rng.random(tsdf.shape) < 0.05] = 0.0
+    plant = rng.random(tsdf.shape) < 0.02
+    tsdf[plant] = rng.choice(_TINY, int(plant.sum()))
+    # Padding voxels past the logical grid stay at the empty state.
+    r = resolution
+    for pad in (np.s_[r:], np.s_[:, r:], np.s_[:, :, r:]):
+        tsdf[pad], weight[pad] = 1.0, 0.0
+
+    # Blocks the truncation band touches, minus a random few.
+    near = (np.abs(sdf) < mu + 2 * vol.voxel_size)
+    near = near.reshape(nb, BLOCK, nb, BLOCK, nb, BLOCK).any(axis=(1, 3, 5))
+    near &= rng.random(near.shape) < 0.9
+    coords = np.argwhere(near)
+    slots = vol.ensure_blocks(coords)
+    for (bx, by, bz), slot in zip(coords * BLOCK, slots):
+        sl = np.s_[bx:bx + BLOCK, by:by + BLOCK, bz:bz + BLOCK]
+        vol.tsdf_blocks[slot] = tsdf[sl].reshape(-1)
+        vol.weight_blocks[slot] = weight[sl].reshape(-1)
+    vol.refresh_nonpositive_mask()
+    return vol
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       resolution=st.sampled_from([24, 32, 36]),
+       mu=st.floats(0.1, 0.3),
+       sphere=st.booleans(),
+       eye=st.tuples(*(st.floats(-0.5, 2.5),) * 3),
+       jitter=st.tuples(*(st.floats(-0.3, 0.3),) * 3))
+@settings(max_examples=60, deadline=None)
+def test_sparse_raycast_matches_dense_oracle(seed, resolution, mu, sphere,
+                                             eye, jitter):
+    """Bit-exact oracle: the sparse raycast of a random volume equals
+    the dense fast raycast of its densified copy, vertices and normals.
+
+    The march step (``0.75 * mu``) spans several voxels at the larger
+    ``mu``, so a crossing's positive sample often sits in an unflagged
+    sub-block and is evaluated only as the predecessor of a flagged
+    one."""
+    size = 2.0
+    rng = np.random.default_rng(seed)
+    sparse = random_sparse_volume(rng, resolution, size, mu, sphere)
+    dense = TSDFVolume(resolution=resolution, size=size)
+    dense.tsdf[:], dense.weight[:] = sparse.densify()
+
+    target = np.full(3, size / 2) + np.array(jitter)
+    eye = np.array(eye)
+    if np.linalg.norm(target - eye) < 0.1:
+        eye = eye + 0.5
+    pose = se3.look_at(eye, target)
+    cam = PinholeCamera.kinect_like(width=24, height=18)
+    params = KFusionParams(volume_resolution=resolution, volume_size=size,
+                           mu_distance=mu)
+    want = fast_raycast_mod.raycast_model(
+        dense, cam, pose, mu, FrameWorkspace(cam, params, levels=1))
+    got = sparse_raycast.raycast_model(
+        sparse, cam, pose, mu,
+        FrameWorkspace(cam, params, levels=1, backend="sparse"))
+    np.testing.assert_array_equal(got.vertices, want.vertices)
+    np.testing.assert_array_equal(got.normals, want.normals)
