@@ -20,9 +20,10 @@ RPR005   contract-validation: ``@contract`` strings parse, name real
 RPR006   process-discipline: no ``multiprocessing`` /
          ``concurrent.futures`` outside :mod:`repro.jobs` — use
          ``WorkerPool``/``JobRunner``
-RPR007   dtype-discipline: no float64 temporaries in the kfusion /
-         :mod:`repro.perf` hot paths — explicit float32, with
-         ``# f64-ok:`` waivers for the deliberate solver float64
+RPR007   dtype-discipline: no float64 temporaries in the code the
+         fast and sparse backends run (:mod:`repro.perf` and
+         ``kfusion/pipeline.py``) — explicit float32, with ``# f64-ok:``
+         waivers for the deliberate solver float64
 RPR008   layer-discipline: imports/calls must point down the
          ``ARCHITECTURE.toml`` layer DAG, and every module must be
          covered by a layer
@@ -32,15 +33,9 @@ RPR009   transitive-effect-discipline: whole-program effect inference
 RPR010   workspace-alloc-discipline: hot :mod:`repro.perf` modules
          allocate through the workspace arena, with ``# effect-ok:``
          waivers for variable-length working sets
-RPR011   shape-dtype-unification: every stage-graph port contract
-         parses, and symbolic dims unify along edges across the whole
-         graph — conflicts report the full edge chain that forces them
 RPR012   kernel-contract-consistency: graph port contracts agree with
          the ``@contract`` declarations of the kernels each stage body
          calls (all registered backends, dtype *kind* compared)
-RPR013   arena-liveness: declared arena regions are consistent with the
-         schedule and the buffer names reachable kernels touch — no
-         use-after-release, overlapping-lifetime writes, or dead budget
 RPR014   lockset-discipline: state written in multi-thread-reachable
          code needs a non-empty common lockset, a verified ``[[lock]]``
          guards declaration, or ``# guarded-by: <target> -- <reason>``
@@ -51,9 +46,9 @@ RPR016   wait-discipline: untimed ``Condition.wait`` sits in a
          holding a lock (composes with the RPR009 effect fixpoint)
 =======  ==============================================================
 
-RPR011-013 run against the *registered graph definitions* rather than
-per-file, so they live in ``repro dataflow check`` (same exit-code
-contract, same noqa/baseline machinery) instead of ``repro lint``; see
+RPR012 runs against the *registered graph definitions* rather than
+per-file, so it lives in ``repro graph check`` (same exit-code contract,
+same ``# noqa`` handling) instead of ``repro lint``; see
 :mod:`repro.analysis.dataflow`.  RPR014-016 (the lockset concurrency
 verifier over the thread/process layers) also run standalone under
 ``repro races check`` with a committed ``CONCURRENCY.json`` snapshot;

@@ -27,9 +27,11 @@
 * **RPR007 dtype-discipline** — the fast frame pipeline (``repro.perf``)
   earns its speedup by keeping every per-pixel/per-voxel array float32;
   one stray default-dtype allocator or ``.astype(float)`` silently
-  doubles bandwidth and erases it.  Hot-path modules (``repro/perf/*``
-  and the kfusion kernels) must spell dtypes explicitly; deliberate
-  float64 (the ICP solver) carries an inline ``# f64-ok: <reason>``.
+  doubles bandwidth and erases it.  Hot-path modules — ``repro/perf/*``
+  and ``kfusion/pipeline.py``, which every backend runs — must spell
+  dtypes explicitly; deliberate float64 (the ICP solver) carries an
+  inline ``# f64-ok: <reason>``.  The reference kfusion kernels are
+  float64 by design (they are the accuracy oracle) and out of scope.
 """
 
 from __future__ import annotations
@@ -447,13 +449,6 @@ class ContractSyntaxChecker(Checker):
                 declared[kw.arg] = text
 
 
-#: Hot-path kfusion modules held to float32 discipline (RPR007), plus
-#: everything under ``repro/perf``.
-HOT_PATH_KFUSION_MODULES = frozenset({
-    "pipeline", "preprocessing", "raycast", "tracking",
-    "integration", "volume", "render",
-})
-
 #: numpy allocators whose *default* dtype is float64.
 DEFAULT_F64_ALLOCATORS = frozenset({
     "numpy.zeros", "numpy.ones", "numpy.empty", "numpy.full",
@@ -469,13 +464,10 @@ F64_WAIVER = "# f64-ok:"
 
 
 def _is_hot_path_module(ctx: ModuleContext) -> bool:
+    """``repro/perf/**`` and ``kfusion/pipeline.py``: the code the fast
+    and sparse backends run."""
     parts = ctx.path_parts
-    if "perf" in parts:
-        return True
-    if "kfusion" in parts:
-        stem = parts[-1].rsplit(".", 1)[0]
-        return stem in HOT_PATH_KFUSION_MODULES
-    return False
+    return "perf" in parts or parts[-2:] == ("kfusion", "pipeline.py")
 
 
 @register_checker
@@ -483,9 +475,9 @@ class DtypeDisciplineChecker(Checker):
     """RPR007: float64 temporaries in hot-path per-frame kernels."""
 
     rule_id = "RPR007"
-    title = ("dtype-discipline: no float64 temporaries in kfusion/perf "
-             "hot paths — allocate float32 (waive deliberate float64 "
-             "with '# f64-ok: <reason>')")
+    title = ("dtype-discipline: no float64 temporaries in repro/perf "
+             "and kfusion/pipeline.py — allocate float32 (waive "
+             "deliberate float64 with '# f64-ok: <reason>')")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not _is_hot_path_module(ctx):

@@ -131,8 +131,6 @@ class ModuleContext:
     source: str
     lines: list[str] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
-    _symbol_spans: list[tuple[int, int, str]] | None = field(
-        default=None, repr=False)
 
     @classmethod
     def parse(cls, source: str, path: str) -> "ModuleContext":
@@ -152,54 +150,15 @@ class ModuleContext:
     def resolve(self, node: ast.AST) -> str | None:
         return dotted_name(node, self.aliases)
 
-    def symbol_at(self, line: int) -> str:
-        """Qualified name of the innermost def/class enclosing ``line``.
-
-        ``""`` at module level.  Used to anchor version-2 baseline
-        fingerprints on the enclosing symbol instead of line numbers.
-        """
-        if self._symbol_spans is None:
-            spans: list[tuple[int, int, str]] = []
-
-            def walk(node: ast.AST, prefix: str) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef,
-                                          ast.ClassDef)):
-                        qual = (f"{prefix}.{child.name}" if prefix
-                                else child.name)
-                        spans.append((child.lineno,
-                                      child.end_lineno or child.lineno,
-                                      qual))
-                        walk(child, qual)
-                    else:
-                        walk(child, prefix)
-
-            walk(self.tree, "")
-            self._symbol_spans = spans
-        best = ""
-        best_span = None
-        for start, end, qual in self._symbol_spans:
-            if start <= line <= end:
-                span = end - start
-                if best_span is None or span <= best_span:
-                    best, best_span = qual, span
-        return best
-
     def finding(self, node: ast.AST, rule_id: str, message: str,
                 severity: Severity = Severity.ERROR) -> Finding:
-        line = getattr(node, "lineno", 1)
-        content = (self.lines[line - 1].strip()
-                   if 1 <= line <= len(self.lines) else "")
         return Finding(
             path=self.path,
-            line=line,
+            line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule_id=rule_id,
             message=message,
             severity=severity,
-            symbol=self.symbol_at(line),
-            content=content,
         )
 
 

@@ -11,7 +11,8 @@ Subcommands:
 * ``lint``     — repo-specific static analysis (``repro.analysis``);
   exits 0 when clean, 1 on findings, 2 on an internal analyzer error.
 * ``graph``    — stage-graph tooling (``repro.graph``): ``check``
-  compiles every registered graph definition (same 0/1/2 exit contract
+  compiles every registered graph definition and checks its ports
+  against the kernels' ``@contract``s (RPR012; same 0/1/2 exit contract
   as ``lint``), ``show`` prints a graph's schedule and edges.
 * ``arch``     — architecture policy tooling (``ARCHITECTURE.toml``):
   ``show`` the layer diagram, ``check`` rules RPR008-010, ``graph``
@@ -296,14 +297,24 @@ def _cmd_backends(_args) -> int:
 
 
 def _cmd_graph_check(args) -> int:
+    import os
+
+    from .analysis.dataflow import (
+        GraphUnderCheck,
+        run_kernel_contract_check,
+    )
     from .analysis.lint import (
         LINT_EXIT_CLEAN,
         LINT_EXIT_FINDINGS,
         LINT_EXIT_INTERNAL,
     )
     from .analysis.policy import load_policy
-    from .errors import GraphError, PerfError
-    from .graph import compile_graph, create_graph, graph_names
+    from .graph import (
+        compile_graph,
+        create_graph,
+        graph_factory,
+        graph_names,
+    )
 
     register_defaults()
     names = [args.graph] if args.graph else graph_names()
@@ -312,21 +323,27 @@ def _cmd_graph_check(args) -> int:
     except ReproError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return LINT_EXIT_INTERNAL
-    findings = 0
-    try:
-        for name in names:
-            try:
-                instance = compile_graph(create_graph(name), policy=policy)
-            except (GraphError, PerfError) as exc:
-                print(f"FAIL {name}: {exc}")
-                findings += 1
-            else:
-                print(f"ok   {name}: {len(instance)} stages, schedule "
-                      f"{' -> '.join(instance.stage_names)}")
-    except ReproError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return LINT_EXIT_INTERNAL
-    return LINT_EXIT_FINDINGS if findings else LINT_EXIT_CLEAN
+    failed = 0
+    graphs = []
+    for name in names:
+        try:
+            instance = compile_graph(create_graph(name), policy=policy)
+        except Exception as exc:  # a broken registry entry, whatever it raises
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            failed += 1
+            continue
+        print(f"ok   {name}: {len(instance)} stages, schedule "
+              f"{' -> '.join(instance.stage_names)}")
+        origin = os.path.relpath(graph_factory(name).__code__.co_filename)
+        graphs.append(GraphUnderCheck(
+            spec=instance.spec, origin=origin,
+            stages={node.name: node.spec for node in instance.schedule}))
+    # RPR012 reads the sources of the package the graphs were built from.
+    code = run_kernel_contract_check(
+        graphs, [os.path.relpath(os.path.dirname(__file__))])
+    if failed and code == LINT_EXIT_CLEAN:
+        return LINT_EXIT_FINDINGS
+    return code
 
 
 def _cmd_graph_show(args) -> int:
@@ -346,93 +363,6 @@ def _cmd_graph_show(args) -> int:
     return 0
 
 
-def _collect_registered_graphs():
-    """Materialize every registered graph definition for the verifier.
-
-    Returns ``(graphs, failures)`` where ``failures`` are findings for
-    registry entries whose factory raised — those must fail
-    ``repro dataflow check`` (the CI gate that every entry is statically
-    compilable), not crash it.
-    """
-    import os
-
-    from .analysis.dataflow import GraphUnderCheck
-    from .analysis.findings import Finding
-    from .graph import get_stage, graph_factory, graph_names
-
-    register_defaults()
-    graphs, failures = [], []
-    for name in graph_names():
-        factory = graph_factory(name)
-        origin = getattr(getattr(factory, "__code__", None),
-                         "co_filename", "<unknown>")
-        origin = os.path.relpath(origin) if os.path.isabs(origin) else origin
-        try:
-            spec = factory()
-            stages = {node: get_stage(stage_name)
-                      for node, stage_name in spec.nodes}
-        except Exception as exc:
-            failures.append(Finding(
-                path=origin, line=1, col=1, rule_id="RPR011",
-                message=f"graph factory {name!r} cannot be evaluated "
-                        f"statically: {exc}",
-            ))
-            continue
-        graphs.append(GraphUnderCheck(spec=spec, stages=stages,
-                                      origin=origin))
-    return graphs, failures
-
-
-def _cmd_dataflow_check(args) -> int:
-    from .analysis.dataflow import run_dataflow
-
-    graphs, failures = _collect_registered_graphs()
-    return run_dataflow(
-        graphs,
-        args.paths,
-        output_format=args.format,
-        baseline_path=args.baseline,
-        extra_findings=failures,
-    )
-
-
-def _cmd_dataflow_show(args) -> int:
-    import json as _json
-
-    from .analysis.dataflow import describe_graph
-    from .analysis.lint import LINT_EXIT_CLEAN, LINT_EXIT_INTERNAL
-
-    graphs, failures = _collect_registered_graphs()
-    if args.graph:
-        graphs = [g for g in graphs if g.spec.name == args.graph]
-        if not graphs:
-            print(f"internal error: no registered graph {args.graph!r}",
-                  file=sys.stderr)
-            return LINT_EXIT_INTERNAL
-    docs = [describe_graph(g) for g in graphs]
-    if args.format == "json":
-        print(_json.dumps(docs if args.graph == "" else docs[0], indent=2))
-        return LINT_EXIT_CLEAN
-    for doc in docs:
-        print(f"graph {doc['graph']} ({doc['origin']})")
-        print(f"  schedule: {' -> '.join(doc['schedule'])}")
-        for port in doc["ports"]:
-            arrow = "<-" if port["direction"] == "in" else "->"
-            print(f"  {port['node']}.{port['port']} {arrow} "
-                  f"{port['normalized']}")
-        for node, dims in sorted(doc["solved_dims"].items()):
-            pairs = ", ".join(f"{k}={v}" for k, v in sorted(dims.items()))
-            print(f"  solved[{node}]: {pairs}")
-        for region in doc["regions"]:
-            tail = " cross-frame" if region["cross_frame"] else ""
-            readers = ",".join(region["readers"]) or "-"
-            print(f"  region {region['prefix']}* writer="
-                  f"{region['writer']} readers={readers}{tail}")
-    for failure in failures:
-        print(f"FAIL {failure.message}")
-    return LINT_EXIT_CLEAN
-
-
 def _cmd_lint(args) -> int:
     from .analysis.lint import run_lint
 
@@ -443,8 +373,6 @@ def _cmd_lint(args) -> int:
         args.paths,
         output_format=args.format,
         select=select,
-        baseline_path=args.baseline,
-        update_baseline=args.write_baseline,
     )
 
 
@@ -709,8 +637,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     graph_sub = p_graph.add_subparsers(dest="graph_command", required=True)
     p_g_check = graph_sub.add_parser(
-        "check", help="compile every registered graph definition "
-                      "(exit: 0 clean, 1 findings, 2 internal error)")
+        "check", help="compile every registered graph definition and "
+                      "check its ports against kernel @contracts "
+                      "(RPR012; exit: 0 clean, 1 findings, 2 internal "
+                      "error)")
     p_g_check.add_argument("--graph", default="",
                            help="check only this registered graph")
     p_g_check.add_argument("--policy", default="ARCHITECTURE.toml",
@@ -734,40 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--select", default="",
                         help="comma-separated rule ids to run "
                              "(e.g. RPR001,RPR003)")
-    p_lint.add_argument("--baseline", default=".reprolint.json",
-                        help="baseline file of suppressed known findings")
-    p_lint.add_argument("--write-baseline", action="store_true",
-                        help="snapshot current findings into the baseline "
-                             "and exit 0")
     p_lint.set_defaults(func=_cmd_lint)
 
-    p_df = sub.add_parser(
-        "dataflow", help="static dataflow verification of registered "
-                         "stage graphs (rules RPR011-RPR013)"
-    )
-    df_sub = p_df.add_subparsers(dest="dataflow_command", required=True)
-    p_df_check = df_sub.add_parser(
-        "check", help="verify shape/dtype unification, kernel-contract "
-                      "consistency, and arena liveness for every "
-                      "registered graph (exit 0 clean / 1 findings / "
-                      "2 internal)")
-    p_df_check.add_argument("paths", nargs="*", default=["src/repro"],
-                            help="first-party sources for the static "
-                                 "call graph (default: src/repro)")
-    p_df_check.add_argument("--format", choices=("text", "json"),
-                            default="text", help="report format")
-    p_df_check.add_argument("--baseline", default=".reprolint.json",
-                            help="fingerprint baseline of accepted "
-                                 "findings")
-    p_df_check.set_defaults(func=_cmd_dataflow_check)
-    p_df_show = df_sub.add_parser(
-        "show", help="print each graph's ports (normalized contracts), "
-                     "solved symbolic dims, and arena regions")
-    p_df_show.add_argument("graph", nargs="?", default="",
-                           help="registered graph name (default: all)")
-    p_df_show.add_argument("--format", choices=("text", "json"),
-                           default="text", help="output format")
-    p_df_show.set_defaults(func=_cmd_dataflow_show)
     return parser
 
 

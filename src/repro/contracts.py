@@ -87,7 +87,7 @@ _TAG_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$")
 #: Effect vocabulary (the analyzer adds open-ended ``raises(T)``).
 EFFECTS = ("time", "rng", "io", "process", "global-write", "alloc")
 
-#: alias dtype token -> the canonical token :func:`format_contract` emits.
+#: alias dtype token -> its canonical token (``ArraySpec.dtype``).
 _CANONICAL_DTYPE = {"b": "bool"}
 
 
@@ -160,35 +160,6 @@ def parse_contract(text: str) -> ArraySpec:
         raise ContractError(f"contract {text!r}: '...' alone is not a shape")
     return ArraySpec(dims=tuple(dims), kind=kind, text=text,
                      ellipsis_leading=ellipsis_leading, dtype=dtype)
-
-
-def format_contract(spec: ArraySpec) -> str:
-    """The canonical spelling of a parsed contract.
-
-    ``parse_contract(format_contract(s))`` is semantically equal to ``s``
-    (:func:`contracts_equal`), and formatting is idempotent — whitespace
-    and dtype-alias variants collapse onto one spelling, which is what
-    the graph compiler compares.
-    """
-    tokens = (["..."] if spec.ellipsis_leading else []) + [
-        str(d) for d in spec.dims
-    ]
-    out = ",".join(tokens)
-    if spec.dtype is not None:
-        out += f":{spec.dtype}"
-    return out
-
-
-def contracts_equal(a: ArraySpec, b: ArraySpec) -> bool:
-    """Semantic equality: same dims, same ellipsis, same canonical dtype.
-
-    Spelling differences (whitespace, ``b`` vs ``bool``) do not count;
-    declared width does (``f32`` != ``f64`` — two ends of one wire must
-    agree on what the array *is*).
-    """
-    return (a.dims == b.dims
-            and a.ellipsis_leading == b.ellipsis_leading
-            and a.dtype == b.dtype)
 
 
 def _check_array(func_name: str, arg_name: str, spec: ArraySpec,
@@ -336,24 +307,14 @@ def parse_port_contract(text: str) -> PortContract:
     return PortContract(tag=s, spec=spec, pyramid=pyramid, text=text)
 
 
-def format_port_contract(pc: PortContract) -> str:
-    """Canonical spelling (idempotent; whitespace/alias variants collapse)."""
-    if pc.spec is None:
-        return pc.tag
-    inner = format_contract(pc.spec)
-    return f"{pc.tag}([{inner}])" if pc.pyramid else f"{pc.tag}({inner})"
-
-
 def port_contract_mismatch(src: PortContract,
                            dst: PortContract) -> str | None:
     """Why two contracts cannot share an edge, or ``None`` if they can.
 
     Semantic comparison, not spelling: whitespace and dtype-alias
     variants are equal, and a symbolic dim is compatible with anything
-    in its position (``repro dataflow check`` unifies symbols across the
-    whole graph — RPR011 — which a single edge cannot).  Everything
-    declared concretely must agree: tag, pyramid-ness, rank, dtype, and
-    integer dims.
+    in its position.  Everything declared concretely must agree: tag,
+    pyramid-ness, rank, dtype, and integer dims.
     """
     if src.tag != dst.tag:
         return f"tag {src.tag!r} != {dst.tag!r}"

@@ -25,7 +25,6 @@ from ..errors import GraphError, StageExecutionError
 from .compiler import CompiledNode, WorkspacePlan, compile_graph
 from .instance import PipelineInstance
 from .spec import (
-    ArenaRegion,
     Edge,
     GraphSpec,
     TapSpec,
@@ -46,7 +45,6 @@ from .stage import (
 from .taps import default_sampler
 
 __all__ = [
-    "ArenaRegion",
     "CompiledNode",
     "Edge",
     "GraphError",

@@ -7,9 +7,8 @@ so running a compiled graph can never fail for a *wiring* reason:
 2. every edge joins an existing output port to an existing input port
    with **semantically equal contracts** (parsed under the
    :mod:`repro.contracts` port grammar — spelling variants of
-   one contract are equal, concrete declarations must agree; symbolic
-   dims are unified across the whole graph by ``repro dataflow
-   check``, RPR011);
+   one contract are equal, concrete declarations must agree, symbolic
+   dims match anything);
 3. every input port is fed by exactly one edge (no dangling or
    double-fed inputs);
 4. the graph is acyclic — cycles are reported with the named edges that
@@ -103,8 +102,7 @@ def _check_edges(spec: GraphSpec, stages: dict[str, StageSpec]) -> None:
         # whitespace/dtype-alias spellings of one contract are equal,
         # while anything declared concretely — tag, rank, dtype, int
         # dims — must agree.  Symbolic dims are edge-compatible with
-        # anything; RPR011 (repro dataflow check) unifies them across
-        # the whole graph, which a single edge cannot.
+        # anything.
         mismatch = port_contract_mismatch(
             parse_port_contract(src_port.contract),
             parse_port_contract(dst_port.contract),
@@ -215,22 +213,6 @@ def _check_taps(spec: GraphSpec, stages: dict[str, StageSpec]) -> None:
             )
 
 
-def _check_regions(spec: GraphSpec, stages: dict[str, StageSpec]) -> None:
-    for region in spec.regions:
-        for role, node in (("writer", region.writer),
-                           *(("reader", r) for r in region.readers)):
-            if node not in stages:
-                raise GraphError(
-                    f"graph {spec.name!r}: arena region {region.prefix!r} "
-                    f"names unknown {role} node {node!r}"
-                )
-        if not region.prefix:
-            raise GraphError(
-                f"graph {spec.name!r}: arena region with empty prefix "
-                f"(writer {region.writer!r})"
-            )
-
-
 def _plan_workspace(spec: GraphSpec, stages: dict[str, StageSpec],
                     order: list[str], request: WorkspaceRequest,
                     budget_bytes: int) -> WorkspacePlan:
@@ -297,7 +279,6 @@ def compile_graph(
     _check_edges(spec, stages)
     order = _schedule(spec, stages)
     _check_taps(spec, stages)
-    _check_regions(spec, stages)
     if policy is not None:
         _check_effects(spec, stages, policy)
     plan = None

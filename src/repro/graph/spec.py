@@ -37,36 +37,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class ArenaRegion:
-    """Declared lifetime of one arena buffer family.
-
-    The :class:`~repro.perf.FrameWorkspace` arena is partitioned by
-    buffer-name prefix; a region declares which stage writes buffers
-    under ``prefix``, which later stages read them, and whether they
-    must survive into the next frame (``cross_frame`` — e.g. the
-    raycast model the *next* frame's tracker aligns against).  The
-    static liveness verifier (RPR013, :mod:`repro.analysis.dataflow`)
-    checks these declarations against the deterministic schedule and
-    the buffer names the reachable kernels actually touch.
-
-    Attributes:
-        prefix: buffer-name prefix (``"pyr_"``); the longest matching
-            prefix owns a buffer, so ``"pyr_v"`` can carve a longer-
-            lived sub-family out of ``"pyr_"``.
-        writer: node that allocates/writes buffers in this region.
-        readers: nodes that read them after the writer ran; empty for
-            writer-private scratch.
-        cross_frame: buffers stay live across the frame boundary, so
-            the region is never release-able within a frame.
-    """
-
-    prefix: str
-    writer: str
-    readers: tuple[str, ...] = ()
-    cross_frame: bool = False
-
-
-@dataclass(frozen=True)
 class TapSpec:
     """A stream tap: sample one node output into telemetry spans.
 
@@ -103,16 +73,12 @@ class GraphSpec:
             name, the stage name looks up the registry.
         edges: port wiring between nodes.
         taps: stream taps on node outputs.
-        regions: declared arena-buffer lifetimes (:class:`ArenaRegion`)
-            for the static liveness verifier; empty when the graph's
-            stages never touch the workspace arena.
     """
 
     name: str
     nodes: tuple[tuple[str, str], ...]
     edges: tuple[Edge, ...] = ()
     taps: tuple[TapSpec, ...] = field(default_factory=tuple)
-    regions: tuple[ArenaRegion, ...] = ()
 
     def with_tap(self, node: str, port: str, every: int = 1,
                  sampler: Callable[[Any], dict] | None = None,
@@ -157,7 +123,7 @@ def create_graph(name: str, **kwargs) -> GraphSpec:
 
 
 def graph_factory(name: str) -> Callable[..., GraphSpec]:
-    """The registered factory itself (``repro dataflow`` anchors its
+    """The registered factory itself (``repro graph check`` anchors its
     findings to the factory's defining module)."""
     try:
         return _GRAPHS[name]

@@ -29,8 +29,8 @@ run's :class:`~repro.perf.FrameWorkspace` budget by construction.
 from __future__ import annotations
 
 from ..core.outputs import TrackingStatus
-from ..graph import ArenaRegion, Edge, GraphSpec, Port, StageSpec, \
-    register_graph, register_stage
+from ..graph import Edge, GraphSpec, Port, StageSpec, register_graph, \
+    register_stage
 from . import kernels
 from .memory import stage_workspace_bytes
 from .params import BOOTSTRAP_FRAMES, PYRAMID_LEVELS
@@ -39,12 +39,13 @@ from .render import render_volume
 
 #: Contract vocabulary of the KinectFusion graph.  Array-valued wires
 #: carry their shape/dtype (the :mod:`repro.contracts` port
-#: grammar); ``H``/``W`` are the compute-camera resolution, unified per
-#: node by ``repro dataflow check`` (RPR011).  Pyramid contracts
-#: (``[...]``) describe the finest level.  The dtype names the wire's
-#: *declared* element type — the fast backend computes in float32, the
-#: reference in float64; RPR012 compares dtype kind only, exactly like
-#: the runtime ``@contract`` checks.
+#: grammar); ``H``/``W`` are the compute-camera resolution.  Every port
+#: uses one of these constants, so the two ends of an edge cannot
+#: disagree.  Pyramid contracts (``[...]``) describe the finest level.
+#: The dtype names the wire's *declared* element type — the fast backend
+#: computes in float32, the reference in float64; ``repro graph check``
+#: (RPR012) compares dtype kind only, exactly like the runtime
+#: ``@contract`` checks.
 DEPTH_MAP = "depth.map(H,W:f32)"
 VERTEX_PYRAMID = "pyramid.vertices([H,W,3:f32])"
 NORMAL_PYRAMID = "pyramid.normals([H,W,3:f32])"
@@ -247,36 +248,6 @@ RENDER = register_stage(StageSpec(
 ))
 
 
-#: Declared lifetimes of the fast backend's arena buffer families
-#: (``FrameWorkspace`` names, grouped by prefix; longest prefix wins, so
-#: e.g. ``rc_vertices`` carves a cross-frame family out of ``rc_``).
-#: The static liveness verifier (RPR013) checks these against the
-#: deterministic schedule and the ``ws.buffer``/``ws.zeros`` names
-#: reachable from each stage body.
-ARENA_REGIONS = (
-    # bilateral-filter scratch dies inside preprocess; the filtered
-    # depth itself ("bf_out") is the depth.map edge value and must stay
-    # live until integrate consumes it.
-    ArenaRegion("bf_", writer="preprocess"),
-    ArenaRegion("bf_out", writer="preprocess", readers=("integrate",)),
-    # pyramid scratch ("pyr_d*", "pyr_dv*") is preprocess-private; the
-    # vertex/normal pyramids feed the tracker.
-    ArenaRegion("pyr_", writer="preprocess"),
-    ArenaRegion("pyr_v", writer="preprocess", readers=("track",)),
-    ArenaRegion("pyr_n", writer="preprocess", readers=("track",)),
-    ArenaRegion("int_", writer="integrate"),
-    # raycast scratch dies inside raycast; the predicted model surface
-    # is what the *next* frame's tracker aligns against, so it crosses
-    # the frame boundary.
-    ArenaRegion("rc_", writer="raycast"),
-    ArenaRegion("rc_vertices", writer="raycast", readers=("track",),
-                cross_frame=True),
-    ArenaRegion("rc_normals", writer="raycast", readers=("track",),
-                cross_frame=True),
-    ArenaRegion("icp_", writer="track"),
-)
-
-
 def kfusion_graph(publish_render: bool = False) -> GraphSpec:
     """The KinectFusion pipeline as a declarative graph."""
     nodes = [
@@ -297,7 +268,7 @@ def kfusion_graph(publish_render: bool = False) -> GraphSpec:
         edges.append(Edge("integrate", "volume", "render", "volume"))
         edges.append(Edge("raycast", "model", "render", "model"))
     return GraphSpec(name="kfusion", nodes=tuple(nodes),
-                     edges=tuple(edges), regions=ARENA_REGIONS)
+                     edges=tuple(edges))
 
 
 register_graph("kfusion", kfusion_graph)

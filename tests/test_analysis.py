@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.consistency import (
     SpecInfo,
     compare_space_and_consumer,
@@ -574,7 +570,8 @@ class TestProcessDisciplineChecker:
 
 
 class TestDtypeDisciplineChecker:
-    """RPR007 — no float64 temporaries in kfusion/perf hot paths."""
+    """RPR007 — no float64 temporaries in repro/perf and
+    kfusion/pipeline.py, the code the fast and sparse backends run."""
 
     HOT = "src/repro/perf/raycast.py"
 
@@ -613,13 +610,16 @@ class TestDtypeDisciplineChecker:
 
     def test_kfusion_hot_module_in_scope(self):
         src = "import numpy as np\nbuf = np.zeros(3)\n"
-        findings = analyze_source(src, path="src/repro/kfusion/tracking.py",
+        findings = analyze_source(src, path="src/repro/kfusion/pipeline.py",
                                   select=["RPR007"])
         assert rules_of(findings) == ["RPR007"]
 
     def test_cold_modules_exempt(self):
+        # The reference kfusion kernels are float64 by design: they are
+        # the accuracy oracle the fast and sparse backends answer to.
         src = "import numpy as np\nbuf = np.zeros(3, dtype=float)\n"
-        for path in ("src/repro/kfusion/params.py",
+        for path in ("src/repro/kfusion/tracking.py",
+                     "src/repro/kfusion/params.py",
                      "src/repro/core/harness.py",
                      "src/repro/metrics/ate.py"):
             assert analyze_source(src, path=path, select=["RPR007"]) == [], \
@@ -730,77 +730,6 @@ class TestContractRuntime:
         assert set(f.__repro_contracts__) == {"a", "b"}
 
 
-class TestBaseline:
-    def _findings(self, tmp_path, n=2):
-        src = "import time\n" + "x = time.time()\n" * n
-        f = tmp_path / "legacy.py"
-        f.write_text(src)
-        return f, analyze_paths([f], select=["RPR001"])
-
-    def test_roundtrip_suppresses_known_findings(self, tmp_path):
-        _, findings = self._findings(tmp_path)
-        path = tmp_path / "baseline.json"
-        assert write_baseline(findings, path) == 2
-        kept, suppressed = apply_baseline(findings, load_baseline(path))
-        assert kept == []
-        assert suppressed == 2
-
-    def test_new_findings_exceed_allowance(self, tmp_path):
-        _, findings = self._findings(tmp_path, n=1)
-        path = tmp_path / "baseline.json"
-        write_baseline(findings, path)
-        _, grown = self._findings(tmp_path, n=3)
-        kept, suppressed = apply_baseline(grown, load_baseline(path))
-        assert suppressed == 1
-        assert len(kept) == 2
-
-    def test_bad_json_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json")
-        with pytest.raises(AnalysisError):
-            load_baseline(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        for version in (99, 1):  # 1: the retired message-keyed format
-            path.write_text(json.dumps({"version": version,
-                                        "fingerprints": {}}))
-            with pytest.raises(AnalysisError):
-                load_baseline(path)
-
-
-class TestFingerprintV2:
-    """Stable fingerprints: content + rule + symbol, no line numbers."""
-
-    def _analyze(self, tmp_path, src, name="mod.py"):
-        f = tmp_path / name
-        f.write_text(src)
-        return analyze_paths([f], select=["RPR001"])
-
-    def test_fingerprint_survives_line_insertion(self, tmp_path):
-        before = self._analyze(tmp_path, "import time\nx = time.time()\n")
-        after = self._analyze(
-            tmp_path,
-            "import time\n\n\n# a new comment block\n\nx = time.time()\n",
-        )
-        assert before[0].line != after[0].line
-        assert before[0].fingerprint == after[0].fingerprint
-
-    def test_symbol_disambiguates_identical_content(self, tmp_path):
-        findings = self._analyze(
-            tmp_path,
-            "import time\n"
-            "def f():\n"
-            "    return time.time()\n"
-            "def g():\n"
-            "    return time.time()\n",
-        )
-        assert len(findings) == 2
-        assert findings[0].content == findings[1].content
-        assert {f.symbol for f in findings} == {"f", "g"}
-        assert findings[0].fingerprint != findings[1].fingerprint
-
-
 class TestReporters:
     def _one_finding(self, tmp_path):
         f = tmp_path / "mod.py"
@@ -809,10 +738,10 @@ class TestReporters:
 
     def test_text_report(self, tmp_path):
         findings = self._one_finding(tmp_path)
-        text = format_text(findings, suppressed=1)
+        text = format_text(findings)
         assert f"{findings[0].path}:2:" in text
         assert "RPR001" in text
-        assert "1 error(s), 0 warning(s), 1 baseline-suppressed" in text
+        assert text.endswith("1 error(s), 0 warning(s)")
 
     def test_text_report_clean(self):
         assert format_text([]).startswith("clean:")
@@ -843,22 +772,6 @@ class TestRunLint:
         assert run_lint([str(f)], echo=out.append) == 1
         assert "RPR001" in out[0]
 
-    def test_baseline_workflow(self, tmp_path):
-        f = tmp_path / "legacy.py"
-        f.write_text("import time\nt = time.time()\n")
-        baseline = tmp_path / ".reprolint.json"
-        out = []
-        assert run_lint([str(f)], baseline_path=str(baseline),
-                        update_baseline=True, echo=out.append) == 0
-        assert baseline.is_file()
-        # The accepted debt no longer fails the run...
-        assert run_lint([str(f)], baseline_path=str(baseline),
-                        echo=out.append) == 0
-        # ...but a new violation still does.
-        f.write_text("import time\nt = time.time()\nu = time.monotonic()\n")
-        assert run_lint([str(f)], baseline_path=str(baseline),
-                        echo=out.append) == 1
-
     def test_select_restricts_rules(self, tmp_path):
         f = tmp_path / "mixed.py"
         f.write_text(
@@ -877,8 +790,7 @@ class TestCli:
 
         f = tmp_path / "bad.py"
         f.write_text("import numpy as np\nnp.random.seed(0)\n")
-        code = main(["lint", str(f), "--format", "json",
-                     "--baseline", str(tmp_path / "none.json")])
+        code = main(["lint", str(f), "--format", "json"])
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["by_rule"] == {"RPR002": 1}
@@ -902,20 +814,29 @@ class TestCli:
 
 class TestRepoIsClean:
     def test_src_repro_has_no_new_findings(self, monkeypatch):
-        """The tree must satisfy its own linter, modulo the committed
-        baseline (the reference backend's accepted RPR007 findings).
-        Lints from the repo root so fingerprints match CI's invocation."""
+        """The tree satisfies its own linter with no baseline; lints from
+        the repo root, as CI does."""
         monkeypatch.chdir(REPO_ROOT)
-        findings = analyze_paths(["src/repro"])
-        baseline = load_baseline(REPO_ROOT / ".reprolint.json")
-        kept, _suppressed = apply_baseline(findings, baseline)
-        assert kept == []
+        assert analyze_paths(["src/repro"]) == []
 
-    def test_baseline_only_covers_reference_kernels(self):
-        """The committed baseline may only waive RPR007 in the reference
-        kfusion kernels — repro.perf must be natively clean."""
-        baseline = load_baseline(REPO_ROOT / ".reprolint.json")
-        for fingerprint in baseline:
-            rule, path, _ = fingerprint.split("::", 2)
-            assert rule == "RPR007", fingerprint
-            assert path.startswith("src/repro/kfusion/"), fingerprint
+
+class TestLiveTreeDtypeRegression:
+    def test_f64_rotation_in_fast_tracker_turns_rpr007_red(self, tmp_path):
+        """The defect only RPR007 catches: a float64 rotation in the fast
+        tracker passes every tier-1 test (golden, perf, pipeline,
+        kernels) but doubles the bandwidth of the per-pixel transform."""
+        root = tmp_path / "repro"
+        shutil.copytree(REPO_SRC, root)
+        assert analyze_paths([str(root)], select=["RPR007"]) == []
+
+        tracking_py = root / "perf" / "tracking.py"
+        source = tracking_py.read_text()
+        cast = "R32 = pose[:3, :3].astype(np.float32)"
+        assert source.count(cast) == 1
+        tracking_py.write_text(
+            source.replace(cast, "R32 = pose[:3, :3].astype(np.float64)"))
+
+        findings = analyze_paths([str(root)], select=["RPR007"])
+        assert [(Path(f.path).name, f.rule_id) for f in findings] == [
+            ("tracking.py", "RPR007")]
+        assert ".astype(float64)" in findings[0].message

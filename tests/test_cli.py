@@ -235,8 +235,9 @@ class TestGraphCommands:
     """``repro graph`` subcommands.
 
     ``graph check`` follows the lint exit-code contract: 0 clean, 1 on
-    findings (a graph that fails to compile), 2 on an internal error
-    (e.g. an unreadable policy file).
+    findings (a graph that fails to compile, or an RPR012 port/kernel
+    contract drift), 2 on an internal error (e.g. an unreadable policy
+    file).
     """
 
     def test_graph_check_clean(self, capsys):
@@ -266,6 +267,51 @@ class TestGraphCommands:
         monkeypatch.setitem(_GRAPHS, "zz-broken", broken)
         assert main(["graph", "check", "--graph", "zz-broken"]) == 1
         assert "FAIL zz-broken" in capsys.readouterr().out
+
+    def test_graph_check_raising_factory_exits_1(self, capsys,
+                                                 monkeypatch):
+        from repro.graph.spec import _GRAPHS
+
+        def raising():
+            raise TypeError("factory bug")
+
+        monkeypatch.setitem(_GRAPHS, "zz-raising", raising)
+        assert main(["graph", "check", "--graph", "zz-raising"]) == 1
+        assert "FAIL zz-raising: TypeError: factory bug" in \
+            capsys.readouterr().out
+
+    def test_graph_check_kernel_contract_drift_exits_1(self, capsys,
+                                                       monkeypatch):
+        import dataclasses
+
+        from repro.graph import Edge, GraphSpec, Port, StageSpec, get_stage
+        from repro.graph.spec import _GRAPHS
+        from repro.graph.stage import _STAGES
+
+        # The real integrate body behind a port that declares an integer
+        # depth map: the wiring compiles, but the integrate kernels
+        # declare float depth contracts.
+        depth = Port("depth", "depth.map(H,W:i32)")
+        integrate = get_stage("kfusion.integrate")
+        stages = dict(_STAGES)
+        stages["zz.source"] = StageSpec(
+            name="zz.source", run=lambda ctx, inputs: {},
+            outputs=(depth, integrate.input_port("tracked")))
+        stages["zz.integrate"] = dataclasses.replace(
+            integrate, name="zz.integrate",
+            inputs=(depth, integrate.input_port("tracked")))
+        monkeypatch.setattr("repro.graph.stage._STAGES", stages)
+        monkeypatch.setitem(_GRAPHS, "zz-drift", lambda: GraphSpec(
+            name="zz-drift",
+            nodes=(("source", "zz.source"), ("integrate", "zz.integrate")),
+            edges=(Edge("source", "depth", "integrate", "depth"),
+                   Edge("source", "tracked", "integrate", "tracked"))))
+
+        assert main(["graph", "check", "--graph", "zz-drift"]) == 1
+        out = capsys.readouterr().out
+        assert "ok   zz-drift" in out
+        assert "RPR012" in out
+        assert "depth.map(H,W:i32)" in out
 
     def test_graph_check_unknown_graph_exits_1(self, capsys):
         assert main(["graph", "check", "--graph", "teapot"]) == 1

@@ -1,58 +1,45 @@
-"""Tests for the static dataflow verifier (``repro.analysis.dataflow``).
+"""Tests for the kernel-contract check (``repro.analysis.dataflow``).
 
 Covers the port-contract grammar, the compiler's semantic edge
 comparison (spelling variants compile, concrete disagreements still
-fail), and the three rules with seeded violations:
-
-* RPR011 — a dim mismatch only visible through a 2-edge chain, with the
-  chain named in the finding;
-* RPR012 — a fast-backend kernel whose ``@contract`` drifted from its
-  graph port (and a direct callee, the second call seam);
-* RPR013 — injected overlapping-lifetime and use-after-release arena
-  references, dead budget, and unplanned arena use;
-
-plus the acceptance-criteria mutation test (flipping one port dtype in
-``kfusion/graphdef.py`` turns ``repro dataflow check`` red) and the
-clean-repo / CLI exit-code checks.
+fail), and RPR012 with seeded violations: a fast-backend kernel whose
+``@contract`` drifted from its graph port, and a direct callee (the
+second call seam).  The acceptance-criteria mutation test (flipping one
+port dtype of the kfusion graph turns ``repro graph check`` red) and
+the clean-repo check run through ``repro graph check``.
 """
 
 import dataclasses
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.dataflow import (
-    BufferRef,
     GraphUnderCheck,
     check_graphs,
-    run_dataflow,
-    topo_schedule,
-    unify_graph,
+    run_kernel_contract_check,
 )
 from repro.analysis.framework import ModuleContext
-from repro.analysis.program import load_program
+from repro.cli import main
 from repro.contracts import (
     ContractError,
-    contracts_equal,
-    format_contract,
-    format_port_contract,
-    parse_contract,
     parse_port_contract,
     port_contract_mismatch,
 )
 from repro.core.registry import register_defaults
 from repro.errors import GraphError
 from repro.graph import (
-    ArenaRegion,
     Edge,
     GraphSpec,
     Port,
     StageSpec,
     compile_graph,
+    create_graph,
     get_stage,
+    graph_names,
     register_stage,
 )
+from repro.graph.stage import _STAGES
 
 register_defaults()
 
@@ -90,7 +77,6 @@ class TestPortContractGrammar:
         pc = parse_port_contract("track.converged")
         assert pc.tag == "track.converged"
         assert pc.spec is None and not pc.pyramid
-        assert format_port_contract(pc) == "track.converged"
 
     def test_array_contract(self):
         pc = parse_port_contract("depth.map(H,W:f32)")
@@ -106,17 +92,11 @@ class TestPortContractGrammar:
 
     def test_whitespace_and_alias_normalize(self):
         a = parse_port_contract("img( H , W : f32 )")
-        assert format_port_contract(a) == "img(H,W:f32)"
+        assert (a.tag, a.spec.dims, a.spec.dtype) == ("img", ("H", "W"),
+                                                      "f32")
         b = parse_port_contract("m(2,2:b)")
         c = parse_port_contract("m(2,2:bool)")
-        assert format_port_contract(b) == format_port_contract(c)
-
-    def test_format_is_idempotent(self):
-        for text in ("x", "a.b.c", "img(H,W:f32)", "p([...,3:f64])",
-                     "m(2,2:bool)"):
-            once = format_port_contract(parse_port_contract(text))
-            again = format_port_contract(parse_port_contract(once))
-            assert once == again
+        assert b.spec.dtype == c.spec.dtype == "bool"
 
     @pytest.mark.parametrize("bad", [
         "", "  ", "1bad", "tag(", "tag()", "tag([])", "a b(H:f32)",
@@ -144,15 +124,6 @@ class TestPortContractGrammar:
         assert "pyramid" in mm("img(H,W:f32)", "img([H,W:f32])")
         assert "opaque" in mm("img", "img(H,W:f32)")
 
-    def test_contracts_equal_on_array_specs(self):
-        assert contracts_equal(parse_contract("H,W:f64"),
-                               parse_contract(" H , W : f64 "))
-        assert contracts_equal(parse_contract("2,2:b"),
-                               parse_contract("2,2:bool"))
-        assert not contracts_equal(parse_contract("H,W:f32"),
-                                   parse_contract("H,W:f64"))
-        assert format_contract(parse_contract("...,3:f64")) == "...,3:f64"
-
 
 class TestCompilerSemanticEdges:
     """Satellite: edge comparison is semantic, not raw string equality."""
@@ -175,7 +146,7 @@ class TestCompilerSemanticEdges:
         assert compile_graph(spec).stage_names == ["a", "b"]
 
     def test_symbol_vs_int_compiles(self, scratch_registry):
-        # A single edge cannot judge a symbolic dim; RPR011 owns that.
+        # A symbolic dim is edge-compatible with any size.
         spec = self._wire("img(H,W:f32)", "img(4,4:f32)")
         compile_graph(spec)
 
@@ -195,83 +166,6 @@ class TestCompilerSemanticEdges:
     def test_unparsable_port_contract_rejected_at_declaration(self):
         with pytest.raises(GraphError, match="port 'x'"):
             Port("x", "img(")
-
-    def test_region_with_unknown_node_rejected(self, scratch_registry):
-        spec = self._wire("img(H,W:f32)", "img(H,W:f32)")
-        bad = dataclasses.replace(
-            spec, regions=(ArenaRegion("buf_", writer="ghost"),))
-        with pytest.raises(GraphError, match="unknown writer node 'ghost'"):
-            compile_graph(bad)
-
-
-class TestUnification:
-    """RPR011: symbolic dims unified across the whole graph."""
-
-    def _chain(self, scratch_registry, a_out, b_io, c_in):
-        register_stage(_spec("syn.a", outputs=(Port("out", a_out),)))
-        register_stage(_spec("syn.b", inputs=(Port("in", b_io),),
-                             outputs=(Port("out", b_io),)))
-        register_stage(_spec("syn.c", inputs=(Port("in", c_in),)))
-        return GraphSpec(
-            name="syn",
-            nodes=(("a", "syn.a"), ("b", "syn.b"), ("c", "syn.c")),
-            edges=(Edge("a", "out", "b", "in"),
-                   Edge("b", "out", "c", "in")),
-        )
-
-    def test_consistent_labeling_unifies(self, scratch_registry):
-        spec = self._chain(scratch_registry, "m.x(4,4:f32)",
-                           "m.x(r,r:f32)", "m.x(4,4:f32)")
-        assert unify_graph(_under_check(spec)) == []
-
-    def test_conflict_through_two_edge_chain_names_the_chain(
-            self, scratch_registry):
-        # 4 vs 5 only meet through b's symbolic (r, r) — each single
-        # edge is locally fine (the compiler accepts the whole graph),
-        # but no assignment of r satisfies both ends.
-        spec = self._chain(scratch_registry, "m.x(4,4:f32)",
-                           "m.x(r,r:f32)", "m.x(5,5:f32)")
-        compile_graph(spec)  # each edge is locally compatible
-        findings = unify_graph(_under_check(spec))
-        assert findings, "expected an RPR011 conflict"
-        msg = findings[0].message
-        assert findings[0].rule_id == "RPR011"
-        assert "unsatisfiable" in msg
-        assert "a.out -> b.in (dim" in msg
-        assert "b.out -> c.in (dim" in msg
-        assert "= 4" in msg and "= 5" in msg
-
-    def test_symbols_are_node_scoped(self, scratch_registry):
-        # 'H' in a and 'H' in c are different unknowns: a(4,H) feeding
-        # b(r,s) feeding c(H,5) must NOT conflate a:H with c:H.
-        spec = self._chain(scratch_registry, "m.x(4,H:f32)",
-                           "m.x(r,s:f32)", "m.x(H,5:f32)")
-        assert unify_graph(_under_check(spec)) == []
-
-    def test_unparsable_contract_reported_not_crashed(self):
-        # Port() rejects bad contracts at declaration, so malformed
-        # contracts reaching the verifier need duck-typed stages (e.g.
-        # a hand-rolled graph object from another frontend).
-        class FakePort:
-            def __init__(self, name, contract):
-                self.name, self.contract = name, contract
-
-        class FakeStage:
-            def __init__(self, inputs, outputs):
-                self.inputs, self.outputs = inputs, outputs
-                self.workspace_need = None
-                self.run = None
-
-        spec = GraphSpec(name="fake", nodes=(("n", "fake.n"),))
-        graph = GraphUnderCheck(
-            spec=spec,
-            stages={"n": FakeStage((), (FakePort("out", "img("),))},
-            origin="tests/fake.py",
-        )
-        findings = unify_graph(graph)
-        assert len(findings) == 1
-        assert findings[0].rule_id == "RPR011"
-        assert "n.out" in findings[0].message
 
 
 REGISTRY_SRC = """\
@@ -329,7 +223,6 @@ class TestKernelContracts:
         graph = _under_check(
             spec,
             body_qnames={"node": "repro.myalgo.graphdef._run_stage"},
-            refs_by_node={},
         )
         return [f for f in check_graphs([graph], contexts)
                 if f.rule_id == "RPR012"]
@@ -384,252 +277,59 @@ class TestKernelContracts:
         graph = _under_check(
             spec,
             body_qnames={"node": "repro.myalgo.graphdef._run_stage"},
-            refs_by_node={},
         )
         assert [f for f in check_graphs([graph], contexts)
                 if f.rule_id == "RPR012"] == []
 
 
-class TestLiveness:
-    """RPR013: regions vs the schedule and observed buffer refs."""
-
-    def _graph(self, scratch, regions, needs=True):
-        need = (lambda r: 16) if needs else None
-        register_stage(_spec("syn.a", outputs=(Port("out", "num"),),
-                             workspace_need=need))
-        for name in ("b", "c"):
-            register_stage(_spec(
-                f"syn.{name}", inputs=(Port("in", "num"),),
-                outputs=(Port("out", "num"),), workspace_need=need))
-        register_stage(_spec("syn.d", inputs=(Port("in", "num"),),
-                             workspace_need=need))
-        spec = GraphSpec(
-            name="syn",
-            nodes=(("a", "syn.a"), ("b", "syn.b"), ("c", "syn.c"),
-                   ("d", "syn.d")),
-            edges=(Edge("a", "out", "b", "in"),
-                   Edge("b", "out", "c", "in"),
-                   Edge("c", "out", "d", "in")),
-            regions=regions,
-        )
-        return spec
-
-    def _findings(self, spec, refs):
-        graph = _under_check(spec, refs_by_node=refs)
-        return [f for f in check_graphs([graph])
-                if f.rule_id == "RPR013"]
-
-    @staticmethod
-    def _ref(name, qname="repro.perf.kern.f", line=1):
-        return BufferRef(name=name, exact=True, qname=qname, lineno=line)
-
-    def test_schedule_is_deterministic_topo(self, scratch_registry):
-        spec = self._graph(scratch_registry, ())
-        graph = _under_check(spec, refs_by_node={})
-        assert topo_schedule(graph) == ["a", "b", "c", "d"]
-
-    def test_clean_region_usage(self, scratch_registry):
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a", readers=("c",)),))
-        refs = {"a": [self._ref("buf_x")]}
-        assert self._findings(spec, refs) == []
-
-    def test_overlapping_lifetime_write_detected(self, scratch_registry):
-        # b touches a's buffers while the a->c window is live.
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a", readers=("c",)),))
-        refs = {"a": [self._ref("buf_x")], "b": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "overlapping-lifetime" in findings[0].message
-        assert "'b'" in findings[0].message
-        assert "'buf_'" in findings[0].message
-
-    def test_use_after_release_detected(self, scratch_registry):
-        # d touches a's buffers after the a->c window closed.
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a", readers=("c",)),))
-        refs = {"a": [self._ref("buf_x")], "d": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "use-after-release" in findings[0].message
-        assert "'d'" in findings[0].message
-
-    def test_reader_scheduled_before_writer(self, scratch_registry):
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="c", readers=("a",)),))
-        refs = {"c": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "use-after-release" in findings[0].message
-        assert "previous frame" in findings[0].message
-
-    def test_cross_frame_reader_before_writer_is_legal(
-            self, scratch_registry):
-        # The raycast-model pattern: written late, read early next frame.
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="c", readers=("a",),
-                         cross_frame=True),))
-        refs = {"c": [self._ref("buf_x")]}
-        assert self._findings(spec, refs) == []
-
-    def test_cross_frame_region_never_releasable(self, scratch_registry):
-        # Any outside toucher overlaps a cross-frame region.
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a", readers=(),
-                         cross_frame=True),))
-        refs = {"a": [self._ref("buf_x")], "d": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "overlapping-lifetime" in findings[0].message
-
-    def test_dead_budget_warned(self, scratch_registry):
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a"),
-             ArenaRegion("ghost_", writer="b"),))
-        refs = {"a": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert findings[0].severity.value == "warning"
-        assert "dead budget" in findings[0].message
-        assert "'ghost_'" in findings[0].message
-
-    def test_unplanned_buffer_detected(self, scratch_registry):
-        spec = self._graph(scratch_registry,
-                           (ArenaRegion("buf_", writer="a"),))
-        refs = {"a": [self._ref("buf_x"), self._ref("rogue_y")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "matches no declared region" in findings[0].message
-
-    def test_arena_use_without_workspace_need(self, scratch_registry):
-        spec = self._graph(scratch_registry,
-                           (ArenaRegion("buf_", writer="a"),),
-                           needs=False)
-        refs = {"a": [self._ref("buf_x")]}
-        findings = self._findings(spec, refs)
-        assert len(findings) == 1
-        assert "no workspace need" in findings[0].message
-
-    def test_longest_prefix_wins(self, scratch_registry):
-        # "buf_vip" belongs to the longer-lived sub-family, so d's read
-        # inside that family's window is legal while "buf_x" stays
-        # writer-private.
-        spec = self._graph(
-            scratch_registry,
-            (ArenaRegion("buf_", writer="a"),
-             ArenaRegion("buf_vip", writer="a", readers=("d",)),))
-        refs = {"a": [self._ref("buf_x"), self._ref("buf_vip0")],
-                "d": [self._ref("buf_vip0")]}
-        assert self._findings(spec, refs) == []
-
-
-@pytest.fixture(scope="module")
-def repo_contexts():
-    return load_program([str(REPO_SRC)]).contexts
-
-
 def _registered_graphs():
-    from repro.cli import _collect_registered_graphs
-
-    graphs, failures = _collect_registered_graphs()
-    assert failures == []
+    """Every registered graph, compiled, as ``repro graph check`` hands
+    them to RPR012."""
+    graphs = []
+    for name in graph_names():
+        instance = compile_graph(create_graph(name))
+        graphs.append(GraphUnderCheck(
+            spec=instance.spec, origin=f"<{name}>",
+            stages={node.name: node.spec for node in instance.schedule}))
     return graphs
 
 
 class TestCleanRepoAndMutation:
-    def test_registered_graphs_are_clean(self, repo_contexts):
-        assert check_graphs(_registered_graphs(), repo_contexts) == []
+    def test_registered_graphs_are_clean(self, capsys):
+        assert main(["graph", "check"]) == 0
+        assert "clean: 0 error(s)" in capsys.readouterr().out
 
-    def test_run_dataflow_exits_zero(self, repo_contexts):
+    def test_run_kernel_contract_check_exits_zero(self):
         out = []
-        code = run_dataflow(_registered_graphs(), [str(REPO_SRC)],
-                            echo=out.append)
+        code = run_kernel_contract_check(_registered_graphs(),
+                                         [str(REPO_SRC)], echo=out.append)
         assert code == 0
         assert out[0].startswith("clean:")
 
-    def test_flipping_port_dtype_turns_check_red(self, repo_contexts):
+    def test_flipping_port_dtype_turns_check_red(self, capsys, monkeypatch):
         # The acceptance-criteria mutation: kfusion/graphdef.py declares
-        # the depth wire as f32; flipping it to i32 must make the
+        # the depth wire as f32; flipping it to i32 on every kfusion
+        # stage still compiles (both edge ends agree) but must make the
         # kernel cross-check fail (the integrate/bilateral kernels
         # declare float contracts).
         source = (REPO_SRC / "kfusion" / "graphdef.py").read_text()
         assert 'DEPTH_MAP = "depth.map(H,W:f32)"' in source
 
-        graphs = _registered_graphs()
-        kfusion = next(g for g in graphs if g.spec.name == "kfusion")
-        mutated_stages = {}
-        for node, stage in kfusion.stages.items():
-            def flip(ports):
-                return tuple(
-                    Port(p.name, "depth.map(H,W:i32)")
-                    if p.contract == "depth.map(H,W:f32)" else p
-                    for p in ports)
-            mutated_stages[node] = dataclasses.replace(
-                stage, inputs=flip(stage.inputs),
-                outputs=flip(stage.outputs))
-        mutated = dataclasses.replace(kfusion, stages=mutated_stages)
-        findings = check_graphs([mutated], repo_contexts)
-        assert any(f.rule_id == "RPR012" for f in findings)
-        assert all(f.severity.value == "error"
-                   for f in findings if f.rule_id == "RPR012")
+        def flip(ports):
+            return tuple(Port(p.name, "depth.map(H,W:i32)")
+                         if p.contract == "depth.map(H,W:f32)" else p
+                         for p in ports)
 
-    def test_kfusion_arena_regions_match_reality(self, repo_contexts):
-        # The declared regions are exercised for real: every region hits
-        # at least one reachable buffer reference (no dead budget) and
-        # every reference lands in a region (no unplanned use).
-        graphs = _registered_graphs()
-        kfusion = next(g for g in graphs if g.spec.name == "kfusion")
-        assert len(kfusion.spec.regions) >= 8
-        findings = [f for f in check_graphs([kfusion], repo_contexts)
-                    if f.rule_id == "RPR013"]
-        assert findings == []
-
-
-class TestDataflowCli:
-    def test_check_exits_zero_and_reports_clean(self, capsys):
-        from repro.cli import main
-
-        assert main(["dataflow", "check", str(REPO_SRC)]) == 0
-        assert "clean:" in capsys.readouterr().out
-
-    def test_check_json_format(self, capsys):
-        from repro.cli import main
-
-        assert main(["dataflow", "check", "--format", "json",
-                     str(REPO_SRC)]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["summary"]["total"] == 0
-
-    def test_show_lists_ports_and_regions(self, capsys):
-        from repro.cli import main
-
-        assert main(["dataflow", "show", "kfusion"]) == 0
+        stages = {
+            name: dataclasses.replace(stage, inputs=flip(stage.inputs),
+                                      outputs=flip(stage.outputs))
+            for name, stage in _STAGES.items()
+        }
+        monkeypatch.setattr("repro.graph.stage._STAGES", stages)
+        assert main(["graph", "check", "--graph", "kfusion"]) == 1
         out = capsys.readouterr().out
-        assert "depth.map(H,W:f32)" in out
-        assert "region rc_vertices*" in out and "cross-frame" in out
+        assert "ok   kfusion" in out  # the wiring itself still compiles
+        rpr012 = [line for line in out.splitlines() if " RPR012 " in line]
+        assert rpr012
+        assert all("[error]" in line and "i32" in line for line in rpr012)
 
-    def test_show_json_shape(self, capsys):
-        from repro.cli import main
-
-        assert main(["dataflow", "show", "kfusion",
-                     "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["graph"] == "kfusion"
-        assert doc["schedule"] == ["preprocess", "track", "integrate",
-                                   "raycast"]
-        ports = {(p["node"], p["port"]): p["normalized"]
-                 for p in doc["ports"]}
-        assert ports[("preprocess", "depth")] == "depth.map(H,W:f32)"
-
-    def test_show_unknown_graph_is_internal_error(self, capsys):
-        from repro.cli import main
-
-        assert main(["dataflow", "show", "teapot"]) == 2

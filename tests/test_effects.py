@@ -450,15 +450,6 @@ class TestLintExitContract:
                         echo=out.append) == LINT_EXIT_INTERNAL
         assert "internal error" in out[0]
 
-    def test_malformed_baseline_is_internal_error(self, tmp_path):
-        f = tmp_path / "ok.py"
-        f.write_text("x = 1\n")
-        baseline = tmp_path / ".reprolint.json"
-        baseline.write_text("{not json")
-        out = []
-        assert run_lint([str(f)], baseline_path=str(baseline),
-                        echo=out.append) == LINT_EXIT_INTERNAL
-
 
 class TestArchCommands:
     def test_show_prints_layers(self, tmp_path, monkeypatch):
