@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; both are reported and both fail the run
-    unless a ``# noqa`` comment suppresses them."""
+    """How bad a finding is.  Every finding is an error: each fails the
+    run unless a ``# noqa`` comment suppresses it."""
 
-    WARNING = "warning"
     ERROR = "error"
 
     def __str__(self) -> str:  # pragma: no cover - trivial

@@ -6,15 +6,13 @@ import json
 from collections import Counter
 from typing import Sequence
 
-from .findings import Finding, Severity
+from .findings import Finding
 
 
 def format_text(findings: Sequence[Finding]) -> str:
     """One clickable ``path:line:col`` line per finding, plus a summary."""
     lines = [f.format() for f in findings]
-    n_err = sum(1 for f in findings if f.severity is Severity.ERROR)
-    n_warn = len(findings) - n_err
-    summary = f"{n_err} error(s), {n_warn} warning(s)"
+    summary = f"{len(findings)} error(s)"
     if not findings:
         summary = "clean: " + summary
     lines.append(summary)
@@ -28,12 +26,7 @@ def format_json(findings: Sequence[Finding]) -> str:
         "findings": [f.as_dict() for f in findings],
         "summary": {
             "total": len(findings),
-            "errors": sum(
-                1 for f in findings if f.severity is Severity.ERROR
-            ),
-            "warnings": sum(
-                1 for f in findings if f.severity is Severity.WARNING
-            ),
+            "errors": len(findings),
             "by_rule": dict(sorted(by_rule.items())),
         },
     }

@@ -28,9 +28,9 @@ telemetry trace of the run: ``.jsonl`` writes the raw event log,
 ``.csv`` the per-kernel summary, anything else a Chrome
 ``trace_event`` JSON loadable in ``chrome://tracing`` / Perfetto.
 
-``run`` also accepts ``--kernel-backend`` for kfusion: the float32
-workspace kernels (``fast``, default), the float64 textbook kernels
-(``reference``) and the voxel-block TSDF (``sparse``); see
+``run`` also accepts ``--kernel-backend`` for kfusion: the voxel-block
+TSDF (``sparse``, default), the float32 dense-grid workspace kernels
+(``fast``) and the float64 textbook kernels (``reference``); see
 ``repro.perf``.
 
 Examples::
@@ -60,7 +60,7 @@ from .core.registry import (
     register_defaults,
 )
 from .errors import ReproError
-from .perf import kernel_backend_names
+from .perf import DEFAULT_KERNEL_BACKEND, kernel_backend_names
 from .platforms import PlatformConfig, odroid_xu3, phone_database
 from .telemetry import Tracer, export, summarize_trace_file, use_tracer
 
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--kernel-backend", dest="kernel_backend",
                        default=None, choices=kernel_backend_names(),
                        help="kernel implementation set for kfusion "
-                            "(default: fast; see repro.perf)")
+                            f"(default: {DEFAULT_KERNEL_BACKEND}; see repro.perf)")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--set", metavar="NAME=VALUE", action="append",
                        type=_parse_override,

@@ -163,12 +163,18 @@ class PinholeCamera:
         """
         points = np.asarray(points, dtype=float)
         z = points[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = self.fx * points[..., 0] / z + self.cx
-            v = self.fy * points[..., 1] / z + self.cy
+        # Divide only in front of the camera: a tiny or non-positive z
+        # overflows, and such points are invalid anyway (their pixels
+        # read the principal point).
+        front = z > 1e-9
+        with np.errstate(invalid="ignore"):
+            u = np.divide(self.fx * points[..., 0], z, where=front,
+                          out=np.zeros_like(z)) + self.cx
+            v = np.divide(self.fy * points[..., 1], z, where=front,
+                          out=np.zeros_like(z)) + self.cy
         eps = 1e-6  # tolerate round-off at the image border
         valid = (
-            (z > 1e-9)
+            front
             & np.isfinite(u)
             & np.isfinite(v)
             & (u >= -eps)

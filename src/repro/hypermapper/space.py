@@ -145,13 +145,13 @@ def kfusion_design_space(kernel_backend: bool = False) -> DesignSpace:
     cannot drift from the registry.
     """
     from ..kfusion.params import parameter_specs
-    from ..perf import kernel_backend_names
+    from ..perf import DEFAULT_KERNEL_BACKEND, kernel_backend_names
 
     specs = list(parameter_specs())
     if kernel_backend:
         specs.append(
             ParameterSpec(
-                "kernel_backend", "categorical", "fast",
+                "kernel_backend", "categorical", DEFAULT_KERNEL_BACKEND,
                 choices=tuple(kernel_backend_names()),
                 description="kernel implementation family "
                             "(repro.perf registry)",

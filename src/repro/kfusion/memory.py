@@ -70,9 +70,12 @@ def sparse_chunk_blocks(blocks_per_side: int) -> int:
     """Blocks the sparse integrate updates per batch.
 
     Bounds the kernel's scratch to a fixed number of voxels regardless
-    of how many blocks a frame allocates.
+    of how many blocks a frame allocates, and to a quarter of the block
+    grid on small volumes, so a small volume's arena stays below the
+    dense kernels' (every voxel updates independently, so chunking
+    never changes the result).
     """
-    return min(1024, blocks_per_side**3)
+    return max(1, min(1024, blocks_per_side**3 // 4))
 
 
 def compute_pyramid_px(compute_width: int, compute_height: int,

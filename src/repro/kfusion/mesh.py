@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DatasetError
+from .sparse import SparseTSDFVolume
 from .volume import TSDFVolume
 
 #: The six tetrahedra of a cube, as corner indices into the cube's
@@ -124,20 +125,22 @@ def load_obj(path: str) -> TriangleMesh:
     )
 
 
-def extract_mesh(volume: TSDFVolume, max_triangles: int | None = None
-                 ) -> TriangleMesh:
+def extract_mesh(volume: TSDFVolume | SparseTSDFVolume,
+                 max_triangles: int | None = None) -> TriangleMesh:
     """Extract the zero level set of an observed TSDF as a mesh.
 
     Cells are only meshed where *all eight* corners were observed
     (non-zero weight) — unobserved space carries no surface evidence.
 
     Args:
-        volume: the TSDF volume.
+        volume: the TSDF volume, dense or sparse (read through its
+            ``densify()``).
         max_triangles: optional cap (uniform subsample) for huge meshes.
     """
     r = volume.resolution
-    tsdf = volume.tsdf.astype(float)
-    observed = volume.weight > 0.0
+    tsdf, weight = volume.densify()
+    tsdf = tsdf.astype(float)
+    observed = weight > 0.0
 
     # Corner values for every cell, shape (r-1, r-1, r-1, 8).
     def corner(field, k):

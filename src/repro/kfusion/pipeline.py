@@ -68,11 +68,12 @@ class KinectFusion(SLAMSystem):
             reference implementation's plain least squares — an extension
             that defends against depth-edge artefacts and dropout.
         kernel_backend: which registered kernel implementation set runs
-            the five hot per-frame kernels — ``"fast"`` (float32
-            workspace kernels, the default), ``"reference"`` (the
-            float64 textbook kernels), ``"sparse"`` (voxel-block volume
-            with band-restricted integrate and space-skipping raycast).
-            See :mod:`repro.perf`.
+            the five hot per-frame kernels — ``"sparse"`` (voxel-block
+            volume with band-restricted integrate and space-skipping
+            raycast, the default), ``"fast"`` (float32 workspace kernels
+            over the dense grid, sparse's bit-identity oracle),
+            ``"reference"`` (the float64 textbook kernels).  See
+            :mod:`repro.perf`.
         taps: :class:`~repro.graph.TapSpec` stream taps (or
             ``(node, port)`` tuples) attached to the compiled graph —
             sampled intermediate frames become telemetry spans.

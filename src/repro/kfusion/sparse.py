@@ -230,10 +230,17 @@ class SparseTSDFVolume:
                 f"volume resolution {resolution} overflows the packed "
                 f"block-coordinate width"
             )
-        self._initial_blocks = max(64, int(initial_blocks))
-        self._alloc_arrays(self._initial_blocks)
-        self.hash = BlockHash()
         nb = self.blocks_per_side
+        # A volume never holds more than nb**3 blocks, so a small volume
+        # starts (and stays) at that many block rows, with a hash and a
+        # mask-refresh chunk no larger than that many blocks need.
+        self._initial_blocks = min(max(64, int(initial_blocks)), nb**3)
+        self._alloc_arrays(self._initial_blocks)
+        self._hash_capacity = 8
+        while (self._hash_capacity < 1024
+               and self._hash_capacity * 0.7 < nb**3):
+            self._hash_capacity *= 2
+        self.hash = BlockHash(self._hash_capacity)
         ns = nb * (BLOCK // SUB)
         # Sub-block s is set when a trilinear sample whose base voxel lies
         # in s may read <= 0: some voxel of s or of its forward neighbours
@@ -244,7 +251,7 @@ class SparseTSDFVolume:
         self.nonpositive_mask = np.zeros((ns, ns, ns), dtype=bool)
         self._sub_flags = np.zeros((ns, ns, ns), dtype=bool)
         self._voxel_flags = np.zeros(
-            (_REFRESH_CHUNK, BLOCK, BLOCK, BLOCK), dtype=bool)
+            (min(_REFRESH_CHUNK, nb**3), BLOCK, BLOCK, BLOCK), dtype=bool)
         # Dense coord -> slot acceleration table (-1 = unallocated).  The
         # hash stays the canonical mapping; this mirror turns the per-
         # sample block lookups on the raycast hot path into one flat
@@ -281,7 +288,7 @@ class SparseTSDFVolume:
     def reset(self) -> None:
         """Clear to the empty state (drops all allocated blocks)."""
         self._alloc_arrays(self._initial_blocks)
-        self.hash = BlockHash()
+        self.hash = BlockHash(self._hash_capacity)
         self.nonpositive_mask[:] = False
         self.block_slot_table[:] = -1
         self._n_alloc = 0
@@ -326,6 +333,7 @@ class SparseTSDFVolume:
         capacity = self.tsdf_blocks.shape[0]
         while capacity < need:
             capacity *= 2
+        capacity = min(capacity, self.blocks_per_side**3)
         tsdf = np.ones((capacity, BLOCK_VOXELS), dtype=np.float32)
         weight = np.zeros((capacity, BLOCK_VOXELS), dtype=np.float32)
         coords = np.zeros((capacity, 3), dtype=np.int32)
@@ -350,8 +358,9 @@ class SparseTSDFVolume:
         per = BLOCK // SUB
         flags6 = flags.reshape(nb, per, nb, per, nb, per)
         vf = self._voxel_flags
-        for at in range(0, self._n_alloc, _REFRESH_CHUNK):
-            b = min(_REFRESH_CHUNK, self._n_alloc - at)
+        chunk = vf.shape[0]
+        for at in range(0, self._n_alloc, chunk):
+            b = min(chunk, self._n_alloc - at)
             f = vf[:b]
             np.less(self.tsdf_blocks[at:at + b].reshape(f.shape),
                     NONPOS_FLOOR, out=f)
@@ -492,11 +501,13 @@ class SparseTSDFVolume:
         return (idx[keep].astype(float) + 0.5) * self.voxel_size
 
     def densify(self) -> tuple[np.ndarray, np.ndarray]:
-        """Materialise dense ``(r, r, r)`` tsdf/weight arrays (tests only).
+        """Materialise dense ``(r, r, r)`` tsdf/weight arrays.
 
-        Memory-expensive by design — the equivalence tests use it to
-        bit-compare against the dense volume; production paths never
-        should.
+        Costs a full dense grid, so the per-frame kernels never call it.
+        Whole-volume consumers do: mesh export
+        (:func:`repro.kfusion.mesh.extract_mesh`) reads either volume
+        through it, and the equivalence tests bit-compare it against
+        the dense volume.
         """
         r = self.resolution
         nbv = self.blocks_per_side * BLOCK

@@ -46,6 +46,15 @@ class TSDFVolume:
         self.tsdf.fill(1.0)
         self.weight.fill(0.0)
 
+    def densify(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense ``(r, r, r)`` tsdf/weight fields (no copy).
+
+        Mirrors :meth:`SparseTSDFVolume.densify
+        <repro.kfusion.sparse.SparseTSDFVolume.densify>`, so whole-volume
+        consumers read either volume the same way.
+        """
+        return self.tsdf, self.weight
+
     def voxel_centers_world(self) -> np.ndarray:
         """World (volume-frame) coordinates of all voxel centres, ``(r^3, 3)``.
 

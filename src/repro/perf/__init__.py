@@ -9,9 +9,11 @@ from one preallocated :class:`FrameWorkspace` arena sized by
 :func:`repro.kfusion.memory.workspace_bytes`.
 
 Implementations are selected through the :class:`KernelBackend`
-registry (``"fast"``, the default, vs ``"reference"``) and proven
-equivalent by the golden suite in ``tests/test_perf.py``; see DESIGN.md
-S17 for the equivalence policy and tolerance rationale.
+registry (``"sparse"``, the default, over the voxel-block volume;
+``"fast"`` over the dense grid; ``"reference"``) and proven equivalent
+by the golden suites in ``tests/test_perf.py`` and
+``tests/test_sparse_volume.py``; see DESIGN.md S17 and S22 for the
+equivalence policy and tolerance rationale.
 """
 
 from .registry import (

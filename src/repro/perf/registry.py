@@ -12,15 +12,17 @@ Three backends ship:
 * ``"reference"`` — the float64 textbook kernels of ``repro.kfusion``,
   bit-identical to what the pipeline ran before this registry existed
   (the golden-run values are pinned against it);
-* ``"fast"`` (the default) — the float32 workspace kernels of
-  ``repro.perf``, proven equivalent by the golden equivalence suite
+* ``"fast"`` — the float32 workspace kernels of ``repro.perf`` over the
+  dense grid, proven equivalent by the golden equivalence suite
   (identical tracked/status sequences, ATE within the documented
-  float32 tolerance; see DESIGN.md S17);
-* ``"sparse"`` — the fast preprocess/track kernels over a lazily
-  allocated voxel-block volume (:mod:`repro.kfusion.sparse`), with
-  band-restricted integration and space-skipping raycast
+  float32 tolerance; see DESIGN.md S17); the sparse backend's
+  bit-identity oracle;
+* ``"sparse"`` (the default) — the fast preprocess/track kernels over a
+  lazily allocated voxel-block volume (:mod:`repro.kfusion.sparse`),
+  with band-restricted integration and space-skipping raycast
   (:mod:`repro.perf.sparse_integrate` / ``sparse_raycast``; DESIGN.md
-  S22).
+  S22).  Its block arrays and arena are sized to the volume, so small
+  volumes hold no more than the dense grid and arena would.
 
 Every backend function takes the run's
 :class:`~repro.perf.workspace.FrameWorkspace` as its last positional
@@ -56,7 +58,7 @@ from . import tracking as _fast_track
 from .workspace import FrameWorkspace
 
 #: The pipeline's default backend.
-DEFAULT_KERNEL_BACKEND = "fast"
+DEFAULT_KERNEL_BACKEND = "sparse"
 
 
 @dataclass(frozen=True)

@@ -741,7 +741,7 @@ class TestReporters:
         text = format_text(findings)
         assert f"{findings[0].path}:2:" in text
         assert "RPR001" in text
-        assert text.endswith("1 error(s), 0 warning(s)")
+        assert text.endswith("1 error(s)")
 
     def test_text_report_clean(self):
         assert format_text([]).startswith("clean:")
@@ -750,6 +750,8 @@ class TestReporters:
         findings = self._one_finding(tmp_path)
         doc = json.loads(format_json(findings))
         assert doc["summary"]["total"] == 1
+        assert doc["summary"]["errors"] == 1
+        assert "warnings" not in doc["summary"]
         assert doc["summary"]["by_rule"] == {"RPR001": 1}
         entry = doc["findings"][0]
         assert entry["rule"] == "RPR001"

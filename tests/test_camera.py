@@ -82,6 +82,14 @@ class TestProjection:
         _, valid = camera.project(pts)
         assert not valid.any()
 
+    @pytest.mark.filterwarnings("error")
+    def test_project_tiny_depth_invalid_without_overflow(self, camera):
+        # x / 1e-310 overflows; the division is skipped where z <= 1e-9.
+        pts = np.array([[1.0, 1.0, 1e-310], [0.1, 0.1, 1.0]])
+        pixels, valid = camera.project(pts)
+        assert valid.tolist() == [False, True]
+        assert pixels[1, 0] == camera.fx * 0.1 / 1.0 + camera.cx
+
     def test_project_out_of_frame_invalid(self, camera):
         # A point far off-axis lands outside the image.
         pts = np.array([[100.0, 0.0, 1.0]])

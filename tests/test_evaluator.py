@@ -61,3 +61,20 @@ class TestMeasuredEvaluator:
         coarse = evaluator.evaluate(dict(good_config(),
                                          volume_resolution=48))
         assert coarse.runtime_s < fine.runtime_s
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"volume_resolution": 64, "integration_rate": 2},
+    {"volume_resolution": 48, "compute_size_ratio": 2, "mu_distance": 0.2},
+])
+def test_sparse_and_fast_objectives_bit_equal(evaluator, overrides):
+    """The default sparse backend reproduces its dense oracle's
+    objectives exactly, so switching the default moves no DSE result."""
+    cfg = dict(good_config(), **overrides)
+    fast = evaluator.evaluate(dict(cfg, kernel_backend="fast")).to_dict()
+    sparse = evaluator.evaluate(dict(cfg, kernel_backend="sparse")).to_dict()
+    assert fast.pop("configuration")["kernel_backend"] == "fast"
+    assert sparse.pop("configuration")["kernel_backend"] == "sparse"
+    assert not fast["failed"]
+    assert sparse == fast

@@ -1,9 +1,18 @@
 """Tests for the memory-footprint model."""
 
+import numpy as np
 import pytest
 
 from repro.kfusion import KFusionParams
-from repro.kfusion.memory import frame_buffers_bytes, total_bytes, volume_bytes
+from repro.kfusion.memory import (
+    frame_buffers_bytes,
+    sparse_chunk_blocks,
+    total_bytes,
+    volume_bytes,
+    workspace_bytes,
+)
+from repro.kfusion.sparse import SparseTSDFVolume
+from repro.kfusion.volume import TSDFVolume
 
 
 class TestMemoryModel:
@@ -37,3 +46,36 @@ class TestMemoryModel:
     def test_embedded_configs_fit_small_memory(self):
         p = KFusionParams(volume_resolution=64, compute_size_ratio=4)
         assert total_bytes(p) < 4 * 1024 * 1024
+
+
+class TestSparseSizedToVolume:
+    """The default sparse backend holds no more than the dense one on
+    small volumes (a serve session's 32x24 frames into a 32^3 grid)."""
+
+    PARAMS = KFusionParams(volume_resolution=32, volume_size=4.8)
+
+    def test_arena_budget_within_dense(self):
+        sparse = workspace_bytes(self.PARAMS, 32, 24, 3, "sparse")
+        fast = workspace_bytes(self.PARAMS, 32, 24, 3, "fast")
+        assert sparse <= fast
+
+    def test_fresh_block_arrays_within_dense_volume(self):
+        sparse = SparseTSDFVolume(32, 4.8)
+        dense = TSDFVolume(32, 4.8)
+        held = sparse.tsdf_blocks.nbytes + sparse.weight_blocks.nbytes
+        assert held <= dense.allocated_bytes
+        assert sparse.tsdf_blocks.shape[0] == 4**3
+
+    def test_large_volumes_keep_fixed_sizes(self):
+        # 128^3 is 16^3 blocks: capacity and chunk hit their caps.
+        assert SparseTSDFVolume(128, 4.8).tsdf_blocks.shape[0] == 512
+        assert sparse_chunk_blocks(16) == 1024
+        assert sparse_chunk_blocks(1) == 1
+
+    def test_growth_capped_at_block_grid(self):
+        vol = SparseTSDFVolume(48, 4.8, initial_blocks=64)  # 6^3 blocks
+        grid = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        slots = vol.ensure_blocks(grid)
+        assert sorted(slots) == list(range(216))
+        assert vol.tsdf_blocks.shape[0] == 216

@@ -161,9 +161,9 @@ class TestKernelBackendRegistry:
     def test_all_backends_registered(self):
         assert kernel_backend_names() == ["fast", "reference", "sparse"]
 
-    def test_default_is_fast(self):
-        assert DEFAULT_KERNEL_BACKEND == "fast"
-        assert KinectFusion().kernel_backend == "fast"
+    def test_default_is_sparse(self):
+        assert DEFAULT_KERNEL_BACKEND == "sparse"
+        assert KinectFusion().kernel_backend == "sparse"
 
     def test_lookup_by_name(self):
         assert get_kernel_backend("fast") is FAST_BACKEND

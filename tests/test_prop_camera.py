@@ -1,6 +1,7 @@
 """Property-based tests for camera projection invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -51,6 +52,7 @@ def test_scaling_preserves_rays(cam, z, factor):
                      elements=st.floats(min_value=-4, max_value=4,
                                         allow_nan=False)))
 @settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error")
 def test_projection_flags_are_consistent(cam, points):
     pixels, valid = cam.project(points)
     # Valid points are in front of the camera and inside the image.
