@@ -1,8 +1,12 @@
 """Repo-specific static analysis and contract checking (``repro lint``).
 
 The paper's invariants — one timing source per kernel, deterministic
-seeded runs, a design space that matches what KinectFusion consumes —
-are machine-enforced here rather than left to reviewer vigilance:
+seeded runs, kernels that agree with the stage graph — are
+machine-enforced here rather than left to reviewer vigilance.  (The
+design space matches what KinectFusion consumes by construction:
+``kfusion/params.py`` declares each knob once, and tier-1 tests check
+that every knob moves a run and that all backends declare matching
+``@contract``s.)
 
 =======  ==============================================================
 RPR001   timing-discipline: no stdlib clock reads outside
@@ -11,12 +15,10 @@ RPR002   rng-discipline: no ``np.random.seed`` / legacy global draws —
          inject a seeded ``np.random.Generator``
 RPR003   error-policy: raise the :mod:`repro.errors` hierarchy, and CLI
          ``main()`` must catch :class:`~repro.errors.ReproError`
-RPR004   config-space consistency: ``kfusion_design_space`` ==
-         ``KFusionParams`` == ``DEFAULTS``, defaults in bounds, every
-         knob consumed; fast/reference kernel backends declare
-         matching ``@contract`` shapes (dtype width may differ)
-RPR005   contract-validation: ``@contract`` strings parse, name real
-         parameters, and do not contradict each other
+RPR005   contract-validation: ``@contract`` declares string literals
+         by keyword, with no ``**`` spread, so RPR012 can read them
+         statically (syntax, parameter names and stacked contradictions
+         fail at decoration time)
 RPR006   process-discipline: no ``multiprocessing`` /
          ``concurrent.futures`` outside :mod:`repro.jobs` — use
          ``WorkerPool``/``JobRunner``
@@ -35,7 +37,8 @@ RPR010   workspace-alloc-discipline: hot :mod:`repro.perf` modules
          waivers for variable-length working sets
 RPR012   kernel-contract-consistency: graph port contracts agree with
          the ``@contract`` declarations of the kernels each stage body
-         calls (all registered backends, dtype *kind* compared)
+         calls (every registered backend, read live; dtype *kind*
+         compared)
 RPR014   lockset-discipline: state written in multi-thread-reachable
          code needs a non-empty common lockset, a verified ``[[lock]]``
          guards declaration, or ``# guarded-by: <target> -- <reason>``
@@ -72,7 +75,6 @@ Programmatic use::
 
 Importing this package registers all checkers; the per-rule modules are
 :mod:`~repro.analysis.checkers` (RPR001/2/3/5/6/7),
-:mod:`~repro.analysis.consistency` (RPR004),
 :mod:`~repro.analysis.policy` (RPR008/9/10, backed by
 :mod:`~repro.analysis.callgraph` and :mod:`~repro.analysis.effects`) and
 :mod:`~repro.analysis.concurrency` (RPR014/15/16).
@@ -80,5 +82,4 @@ Importing this package registers all checkers; the per-rule modules are
 
 from . import checkers as _checkers  # noqa: F401 (registers RPR001/2/3/5/6/7)
 from . import concurrency as _concurrency  # noqa: F401 (RPR014/15/16)
-from . import consistency as _consistency  # noqa: F401  (registers RPR004)
 from . import policy as _policy  # noqa: F401  (registers RPR008/9/10)

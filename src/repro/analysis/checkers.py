@@ -14,10 +14,11 @@
   :class:`~repro.errors.ReproError` without swallowing programming
   errors; raising bare builtins breaks that, and a CLI ``main`` without
   a ``ReproError`` handler leaks raw tracebacks at users.
-* **RPR005 contract-validation** — ``@contract`` strings are data; a
-  typo in one silently disables the check it declares.  This pass
-  validates their syntax, that declared parameters exist, and that
-  stacked decorators do not contradict each other.
+* **RPR005 contract-validation** — ``@contract`` declarations must be
+  literal keyword strings, no ``**`` spread, so the static callee arm
+  of RPR012 can read them without importing anything.  Syntax, unknown
+  parameters and contradictory stacked decorators need no static pass:
+  :func:`repro.contracts.contract` rejects them at decoration time.
 * **RPR006 process-discipline** — :mod:`repro.jobs` (PR 3) is the one
   process-spawning layer: its pool owns worker seeding, per-job
   timeouts, crash retries and telemetry merge.  A bare
@@ -39,9 +40,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..contracts import ContractError, parse_contract
 from .findings import Finding
-from .framework import Checker, ModuleContext, param_names, register_checker
+from .framework import Checker, ModuleContext, register_checker
 
 #: Clock calls that bypass the telemetry substrate (RPR001).
 BANNED_CLOCKS = frozenset({
@@ -383,11 +383,11 @@ def _contract_decorators(ctx: ModuleContext,
 
 @register_checker
 class ContractSyntaxChecker(Checker):
-    """RPR005: malformed or contradictory ``@contract`` declarations."""
+    """RPR005: ``@contract`` declarations a static reader cannot see."""
 
     rule_id = "RPR005"
-    title = ("contract-validation: @contract strings must parse, name real "
-             "parameters, and not contradict each other")
+    title = ("contract-validation: @contract declares each parameter as a "
+             "string literal keyword, with no **spread")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -396,18 +396,7 @@ class ContractSyntaxChecker(Checker):
 
     def _check_function(self, ctx: ModuleContext,
                         func: ast.FunctionDef) -> Iterator[Finding]:
-        decos = _contract_decorators(ctx, func)
-        if not decos:
-            return
-        params = param_names(func)
-        declared: dict[str, str] = {}
-        for deco in decos:
-            if deco.args:
-                yield ctx.finding(
-                    deco, self.rule_id,
-                    f"@contract on {func.name} takes keyword arguments "
-                    f"only (param=\"dims:dtype\")",
-                )
+        for deco in _contract_decorators(ctx, func):
             for kw in deco.keywords:
                 if kw.arg is None:  # **spread — opaque to static checking
                     yield ctx.finding(
@@ -416,37 +405,13 @@ class ContractSyntaxChecker(Checker):
                         f"declare contracts literally so they can be "
                         f"checked statically",
                     )
-                    continue
-                if not (isinstance(kw.value, ast.Constant)
-                        and isinstance(kw.value.value, str)):
+                elif not (isinstance(kw.value, ast.Constant)
+                          and isinstance(kw.value.value, str)):
                     yield ctx.finding(
                         kw.value, self.rule_id,
                         f"@contract on {func.name}: {kw.arg} must be a "
                         f"string literal contract",
                     )
-                    continue
-                text = kw.value.value
-                try:
-                    parse_contract(text)
-                except ContractError as exc:
-                    yield ctx.finding(kw.value, self.rule_id,
-                                      f"@contract on {func.name}: {exc}")
-                    continue
-                if kw.arg not in params:
-                    yield ctx.finding(
-                        kw.value, self.rule_id,
-                        f"@contract on {func.name}: no parameter "
-                        f"{kw.arg!r} in the function signature",
-                    )
-                prior = declared.get(kw.arg)
-                if prior is not None and prior != text:
-                    yield ctx.finding(
-                        kw.value, self.rule_id,
-                        f"@contract on {func.name}: parameter {kw.arg!r} "
-                        f"declared both {prior!r} and {text!r} "
-                        f"(contradictory contracts)",
-                    )
-                declared[kw.arg] = text
 
 
 #: numpy allocators whose *default* dtype is float64.

@@ -10,18 +10,22 @@ module closes that gap statically, on every registered graph:
 =======  ==============================================================
 RPR012   kernel-contract-consistency: each stage's port contracts match
          the ``@contract`` declarations of the kernel functions the
-         stage body calls, resolved through the static call graph and
-         the :class:`~repro.perf.KernelBackend` slot machinery — a
-         fast-backend kernel whose declared shape drifts from its graph
-         port is a blocking finding
+         stage body calls — every registered
+         :class:`~repro.perf.KernelBackend`'s slot kernel, read live
+         from its ``__repro_contracts__``, and each direct callee,
+         read from the source — a kernel whose declared shape drifts
+         from its graph port is a blocking finding
 =======  ==============================================================
 
-Layering: this module is pure — it never imports :mod:`repro.graph`.
-``repro graph check`` (:mod:`repro.cli`) compiles the registered graph
-definitions and passes them in as :class:`GraphUnderCheck` records whose
-``spec`` / ``stages`` members are duck-typed (anything with the
+Layering: this module is pure — it imports neither :mod:`repro.graph`
+nor :mod:`repro.perf`.  ``repro graph check`` (:mod:`repro.cli`)
+compiles the registered graph definitions and passes them in as
+:class:`GraphUnderCheck` records, together with the registered kernel
+backends.  Both are duck-typed: anything with the
 :class:`~repro.graph.GraphSpec` / :class:`~repro.graph.StageSpec` shape
-works, which is also what the unit tests exploit).
+works for a graph, and any object whose attributes are the slot
+callables works for a backend, which is also what the unit tests
+exploit.
 """
 
 from __future__ import annotations
@@ -38,13 +42,6 @@ from ..contracts import (
     parse_port_contract,
 )
 from .callgraph import CallGraph, iter_own_nodes
-from .consistency import (
-    BACKEND_SLOTS,
-    REGISTRY_SUFFIX,
-    extract_contract_decls,
-    find_context,
-    resolve_backends,
-)
 from .findings import Finding
 from .framework import ModuleContext
 from .lint import internal_errors, report_findings
@@ -83,26 +80,44 @@ class KernelContractInfo:
     decls: dict[str, str]
 
 
+def extract_contract_decls(func: ast.AST) -> dict[str, str] | None:
+    """``{param: spec}`` from a ``@contract(...)`` decorator, else None."""
+    for dec in getattr(func, "decorator_list", []):
+        if not isinstance(dec, ast.Call):
+            continue
+        name = (dec.func.id if isinstance(dec.func, ast.Name)
+                else dec.func.attr if isinstance(dec.func, ast.Attribute)
+                else None)
+        if name != "contract":
+            continue
+        out = {}
+        for kw in dec.keywords:
+            if (kw.arg and isinstance(kw.value, ast.Constant)
+                    and isinstance(kw.value.value, str)):
+                out[kw.arg] = kw.value.value
+        return out
+    return None
+
+
 def resolve_slot_kernels(
-    contexts: Sequence[ModuleContext], callgraph: CallGraph,
-) -> dict[str, list[KernelContractInfo]]:
-    """``{slot: [kernel info per backend]}`` from the registry module,
-    resolved exactly as RPR004's backend arm does
-    (:func:`~repro.analysis.consistency.resolve_backends`).  Kernels
-    without ``@contract`` declarations have nothing to compare and are
-    left out.
+        backends: Sequence[Any]) -> dict[str, list[KernelContractInfo]]:
+    """``{slot: [kernel info per backend]}`` from live backend objects.
+
+    Each backend's ``name`` labels its rows; every other attribute whose
+    value carries ``__repro_contracts__`` (set by
+    :func:`repro.contracts.contract`) is a slot kernel.  Kernels
+    without declarations have nothing to compare and are left out.
     """
-    registry_ctx = find_context(contexts, REGISTRY_SUFFIX)
-    if registry_ctx is None:
-        return {}
     out: dict[str, list[KernelContractInfo]] = {}
-    for backend, slots in sorted(
-            resolve_backends(callgraph, registry_ctx).items()):
-        for slot, (qname, decls, _line) in slots.items():
-            if qname is None or not decls:
+    for backend in sorted(backends, key=lambda b: b.name):
+        for slot, fn in sorted(vars(backend).items()):
+            decls = getattr(fn, "__repro_contracts__", None)
+            if not decls:
                 continue
             out.setdefault(slot, []).append(KernelContractInfo(
-                label=f"backend {backend!r}", qname=qname, decls=decls))
+                label=f"backend {backend.name!r}",
+                qname=f"{fn.__module__}.{fn.__qualname__}",
+                decls={param: spec.text for param, spec in decls.items()}))
     return out
 
 
@@ -130,12 +145,11 @@ def _is_backend_receiver(node: ast.AST) -> bool:
 
 
 def _slots_called(func_ast: ast.AST) -> set[str]:
-    """Backend slots invoked as ``[ctx.]backend.<slot>(...)``."""
+    """Attributes invoked as ``[ctx.]backend.<slot>(...)``."""
     slots: set[str] = set()
     for node in iter_own_nodes(func_ast):
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in BACKEND_SLOTS
                 and _is_backend_receiver(node.func.value)):
             slots.add(node.func.attr)
     return slots
@@ -148,7 +162,7 @@ def _kernel_port_problem(kernel: ArraySpec, port: ArraySpec) -> str | None:
     different int), rank and leading ``...`` must agree when neither
     side is ellipsis-elided, and the dtype *kind* must match — the
     declared float width may differ, since f32 vs f64 IS the backend
-    distinction (same convention as RPR004's backend arm).
+    distinction.
     """
     if kernel.ellipsis_leading or port.ellipsis_leading:
         n = min(len(kernel.dims), len(port.dims))
@@ -179,9 +193,9 @@ def check_kernel_contracts(
     named like one of the node's ports describes the same array, so its
     ``@contract`` and the port contract must agree (kernel parameters
     without a same-named port — poses, thresholds — are out of scope
-    here; RPR004/RPR005 own those).  Two call seams are checked: kernel-
-    backend slot calls (``ctx.backend.track(...)``), resolved for every
-    registered backend, and direct depth-1 callees with ``@contract``.
+    here).  Two call seams are checked: kernel-backend slot calls
+    (``ctx.backend.integrate(...)``), for every registered backend in
+    ``slot_kernels``, and direct depth-1 callees with ``@contract``.
     """
     findings: list[Finding] = []
     name = graph.spec.name
@@ -238,11 +252,13 @@ def check_kernel_contracts(
 def check_graphs(
     graphs: Sequence[GraphUnderCheck],
     contexts: Sequence[ModuleContext],
+    backends: Sequence[Any],
 ) -> list[Finding]:
     """Run RPR012 over ``graphs`` against the parsed first-party
-    ``contexts`` (the static call graph the stage bodies live in)."""
+    ``contexts`` (the static call graph the stage bodies live in) and
+    the live kernel ``backends``."""
     callgraph = program_for(contexts).graph
-    slot_kernels = resolve_slot_kernels(contexts, callgraph)
+    slot_kernels = resolve_slot_kernels(backends)
     findings: list[Finding] = []
     for graph in graphs:
         findings.extend(check_kernel_contracts(graph, callgraph,
@@ -254,14 +270,17 @@ def check_graphs(
 def run_kernel_contract_check(
     graphs: Sequence[GraphUnderCheck],
     paths: Sequence[str],
+    backends: Sequence[Any],
     *,
     echo: Callable[[str], None] = print,
 ) -> int:
-    """Check ``graphs`` against the sources under ``paths`` and report.
+    """Check ``graphs`` against the sources under ``paths`` and the
+    registered kernel ``backends``, and report.
 
     Shares ``repro lint``'s tail (:mod:`repro.analysis.lint`): ``# noqa``
     at a finding's anchor line applies, and the exit codes are 0 clean,
     1 findings, 2 internal error.
     """
     contexts = load_program(paths).contexts
-    return report_findings(check_graphs(graphs, contexts), echo=echo)
+    return report_findings(check_graphs(graphs, contexts, backends),
+                           echo=echo)

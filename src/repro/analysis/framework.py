@@ -6,7 +6,7 @@ Checkers come in two shapes:
   :class:`ModuleContext` (parsed tree, source lines, import-alias map)
   and yields :class:`~repro.analysis.findings.Finding` objects.
 * :class:`ProjectChecker` — cross-module passes that see *all* analyzed
-  files at once (e.g. RPR004's design-space/consumer consistency check).
+  files at once (e.g. the architecture rules RPR008-010).
 
 :func:`analyze_paths` is the driver ``repro lint`` uses: collect the
 ``.py`` files under the given paths, parse each once, run every

@@ -1,7 +1,6 @@
 """The program model: one parse, call graph and fixpoint per file set.
 
-Every whole-program consumer — RPR004's backend arm, the architecture
-rules RPR008-010, the kernel-contract check RPR012, the lockset rules
+Every whole-program consumer — the architecture rules RPR008-010, the kernel-contract check RPR012, the lockset rules
 RPR014-016 and the ``repro arch``/``races``/``graph check`` commands —
 works from the same :class:`Program`:
 

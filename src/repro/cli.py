@@ -60,7 +60,11 @@ from .core.registry import (
     register_defaults,
 )
 from .errors import ReproError
-from .perf import DEFAULT_KERNEL_BACKEND, kernel_backend_names
+from .perf import (
+    DEFAULT_KERNEL_BACKEND,
+    get_kernel_backend,
+    kernel_backend_names,
+)
 from .platforms import PlatformConfig, odroid_xu3, phone_database
 from .telemetry import Tracer, export, summarize_trace_file, use_tracer
 
@@ -338,9 +342,11 @@ def _cmd_graph_check(args) -> int:
         graphs.append(GraphUnderCheck(
             spec=instance.spec, origin=origin,
             stages={node.name: node.spec for node in instance.schedule}))
-    # RPR012 reads the sources of the package the graphs were built from.
+    # RPR012 reads the sources of the package the graphs were built from
+    # and the live contracts of every registered kernel backend.
     code = run_kernel_contract_check(
-        graphs, [os.path.relpath(os.path.dirname(__file__))])
+        graphs, [os.path.relpath(os.path.dirname(__file__))],
+        [get_kernel_backend(name) for name in kernel_backend_names()])
     if failed and code == LINT_EXIT_CLEAN:
         return LINT_EXIT_FINDINGS
     return code
@@ -653,8 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_g_show.set_defaults(func=_cmd_graph_show)
 
     p_lint = sub.add_parser(
-        "lint", help="repo-specific static analysis (rules RPR001-RPR010 "
-                     "and RPR014-016)"
+        "lint", help="repo-specific static analysis (rules RPR001-003, "
+                     "RPR005-010 and RPR014-016)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "

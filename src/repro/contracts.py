@@ -22,7 +22,8 @@ Grammar:
   the *kind* is enforced (a float32 array satisfies ``f64``) and safe
   widening is allowed (ints satisfy a float contract — every decorated
   function coerces with ``np.asarray(..., dtype=float)`` anyway); the
-  declared width documents intent and is validated statically by RPR005.
+  declared width documents intent (f32 vs f64 is what tells the fast
+  and reference backends apart).
 
 The decorator checks only arguments that arrive as ``np.ndarray`` —
 lists and ``None`` pass through untouched, since coercion is the
@@ -30,10 +31,12 @@ callee's business.  Violations raise :class:`ContractError`
 (a :class:`~repro.errors.ReproError`).  The per-call cost is a few dict
 operations and shape comparisons, negligible next to any kernel math.
 
-The RPR005 static pass (:mod:`repro.analysis.checkers`) validates
-contract-string syntax, rejects parameters that do not exist in the
-decorated function's signature, and flags contradictory declarations of
-the same parameter across stacked ``@contract`` decorators.
+:func:`contract` rejects a malformed string, a parameter that does not
+exist in the decorated function's signature, and contradictory
+declarations of the same parameter across stacked decorators, all at
+decoration time, so a bad contract fails the import.  The RPR005 static
+pass (:mod:`repro.analysis.checkers`) only keeps declarations literal,
+so ``repro graph check`` (RPR012) can read them from the source.
 
 **Port contracts** extend the array grammar with a tag, for stage-graph
 ports (:mod:`repro.graph`)::
@@ -98,7 +101,7 @@ class ArraySpec:
     Attributes:
         dims: shape tokens — ints (exact), strings (symbolic).
         kind: required numpy dtype kind, or ``None`` when unconstrained.
-        text: the original contract string (for messages and RPR005).
+        text: the original contract string (for messages and RPR012).
         ellipsis_leading: the contract began with ``...`` — ``dims``
             constrain only the trailing dimensions.
         dtype: the canonical declared dtype token (``"f32"``, ``"bool"``,
@@ -206,7 +209,7 @@ def contract(**specs: str):
     Parses every contract string at decoration time (malformed contracts
     fail the import, not the millionth call), verifies the named
     parameters exist, and attaches the merged declarations as
-    ``__repro_contracts__`` for introspection and the RPR005 checker.
+    ``__repro_contracts__`` for introspection (RPR012 reads them).
     """
     parsed = {name: parse_contract(text) for name, text in specs.items()}
 

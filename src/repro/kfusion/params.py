@@ -20,74 +20,61 @@ PYRAMID_LEVELS = 3
 #: frames to bootstrap the model even if tracking is shaky.
 BOOTSTRAP_FRAMES = 4
 
-#: SLAMBench's default configuration (the paper's "default" reference
-#: point: 256^3 volume, full-resolution compute, standard ICP schedule).
-DEFAULTS = {
-    "volume_resolution": 256,
-    "volume_size": 4.8,
-    "compute_size_ratio": 1,
-    "mu_distance": 0.1,
-    "icp_threshold": 1e-5,
-    "pyramid_iterations_l0": 10,
-    "pyramid_iterations_l1": 5,
-    "pyramid_iterations_l2": 4,
-    "integration_rate": 2,
-    "tracking_rate": 1,
-}
+#: The design space, declared once.  Each default is SLAMBench's (the
+#: paper's "default" reference point: 256^3 volume, full-resolution
+#: compute, standard ICP schedule); ``ParameterSpec`` validates it
+#: against its own bounds at import.
+_SPECS = (
+    ParameterSpec(
+        "volume_resolution", "ordinal", 256,
+        choices=(32, 48, 64, 96, 128, 192, 256),
+        description="TSDF voxels per side",
+    ),
+    ParameterSpec(
+        "volume_size", "real", 4.8, low=2.0, high=8.0,
+        description="physical volume extent in metres",
+    ),
+    ParameterSpec(
+        "compute_size_ratio", "ordinal", 1, choices=(1, 2, 4, 8),
+        description="input downsampling factor before processing",
+    ),
+    ParameterSpec(
+        "mu_distance", "real", 0.1, low=0.01, high=0.3,
+        description="TSDF truncation band in metres",
+    ),
+    ParameterSpec(
+        "icp_threshold", "real", 1e-5, low=1e-20, high=1e-2, log_scale=True,
+        description="ICP early-termination threshold on the update norm",
+    ),
+    ParameterSpec(
+        "pyramid_iterations_l0", "integer", 10, low=0, high=10,
+        description="ICP iterations at the finest pyramid level",
+    ),
+    ParameterSpec(
+        "pyramid_iterations_l1", "integer", 5, low=0, high=10,
+        description="ICP iterations at the middle pyramid level",
+    ),
+    ParameterSpec(
+        "pyramid_iterations_l2", "integer", 4, low=0, high=10,
+        description="ICP iterations at the coarsest pyramid level",
+    ),
+    ParameterSpec(
+        "integration_rate", "integer", 2, low=1, high=15,
+        description="integrate depth into the TSDF every Nth frame",
+    ),
+    ParameterSpec(
+        "tracking_rate", "integer", 1, low=1, high=5,
+        description="run the tracker every Nth frame",
+    ),
+)
+
+#: SLAMBench's default configuration, derived from the specs.
+DEFAULTS = {spec.name: spec.default for spec in _SPECS}
 
 
 def parameter_specs() -> list[ParameterSpec]:
     """The KinectFusion design space, as framework parameter specs."""
-    return [
-        ParameterSpec(
-            "volume_resolution", "ordinal", DEFAULTS["volume_resolution"],
-            choices=(32, 48, 64, 96, 128, 192, 256),
-            description="TSDF voxels per side",
-        ),
-        ParameterSpec(
-            "volume_size", "real", DEFAULTS["volume_size"], low=2.0, high=8.0,
-            description="physical volume extent in metres",
-        ),
-        ParameterSpec(
-            "compute_size_ratio", "ordinal", DEFAULTS["compute_size_ratio"],
-            choices=(1, 2, 4, 8),
-            description="input downsampling factor before processing",
-        ),
-        ParameterSpec(
-            "mu_distance", "real", DEFAULTS["mu_distance"], low=0.01, high=0.3,
-            description="TSDF truncation band in metres",
-        ),
-        ParameterSpec(
-            "icp_threshold", "real", DEFAULTS["icp_threshold"],
-            low=1e-20, high=1e-2, log_scale=True,
-            description="ICP early-termination threshold on the update norm",
-        ),
-        ParameterSpec(
-            "pyramid_iterations_l0", "integer",
-            DEFAULTS["pyramid_iterations_l0"], low=0, high=10,
-            description="ICP iterations at the finest pyramid level",
-        ),
-        ParameterSpec(
-            "pyramid_iterations_l1", "integer",
-            DEFAULTS["pyramid_iterations_l1"], low=0, high=10,
-            description="ICP iterations at the middle pyramid level",
-        ),
-        ParameterSpec(
-            "pyramid_iterations_l2", "integer",
-            DEFAULTS["pyramid_iterations_l2"], low=0, high=10,
-            description="ICP iterations at the coarsest pyramid level",
-        ),
-        ParameterSpec(
-            "integration_rate", "integer", DEFAULTS["integration_rate"],
-            low=1, high=15,
-            description="integrate depth into the TSDF every Nth frame",
-        ),
-        ParameterSpec(
-            "tracking_rate", "integer", DEFAULTS["tracking_rate"],
-            low=1, high=5,
-            description="run the tracker every Nth frame",
-        ),
-    ]
+    return list(_SPECS)
 
 
 @dataclass(frozen=True)

@@ -5,21 +5,19 @@ on every frame; at ``volume_resolution=128`` that is 2M voxels of which
 only a few percent ever sit near observed surface.  Following the
 InfiniTAM voxel-block-hashing lineage SLAMBench2 benchmarks (PAPERS.md),
 this module stores the TSDF in fixed-size 8³ *voxel blocks*, lazily
-allocated around the observed depth band, behind a flat open-addressed
-hash of packed block coordinates:
-
-* :class:`BlockHash` — linear-probe hash table mapping a packed int64
-  block coordinate to a block slot, with batch (vectorised) insert and
-  lookup and load-factor-triggered doubling rehash.
-* :class:`SparseTSDFVolume` — the dense volume's API (sampling,
-  gradients, surface extraction, occupancy) over ``(capacity, 512)``
-  float32 tsdf/weight block arrays, plus the allocation API the sparse
-  kernels (:mod:`repro.perf.sparse_integrate`,
-  :mod:`repro.perf.sparse_raycast`) drive: ``ensure_blocks`` /
-  ``lookup_blocks`` and the sub-block ``nonpositive_mask`` the raycaster
-  skips space against.  A dense coord->slot mirror of the hash
-  (``block_slot_table``) serves the per-sample lookups on the raycast
-  hot path as a single flat gather.
+allocated around the observed depth band.
+:class:`SparseTSDFVolume` offers the dense volume's API (sampling,
+gradients, surface extraction, occupancy) over ``(capacity, 512)``
+float32 tsdf/weight block arrays, plus the allocation API the sparse
+kernels (:mod:`repro.perf.sparse_integrate`,
+:mod:`repro.perf.sparse_raycast`) drive: ``ensure_blocks`` /
+``lookup_blocks`` and the sub-block ``nonpositive_mask`` the raycaster
+skips space against.  The block mapping is two arrays: a dense
+coord->slot table (``block_slot_table``), which turns every block
+lookup into one flat gather, and its inverse ``block_coords``.  At 8³
+blocks the table costs ``resolution**3 / 128`` bytes, two orders of
+magnitude below the dense volume; InfiniTAM hashes the coordinates
+instead because its volumes are unbounded.
 
 Unallocated space reads as the dense volume's initial state (tsdf 1.0,
 weight 0.0), so within allocated blocks the sparse integrate kernel can
@@ -53,11 +51,6 @@ _REFRESH_CHUNK = 128
 _PACK_BITS = 20
 _PACK_MASK = (1 << _PACK_BITS) - 1
 
-#: splitmix64 finalizer constants (vectorised integer hash).
-_MIX_1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX_2 = np.uint64(0xC4CEB9FE1A85EC53)
-_SHIFT = np.uint64(33)
-
 
 def pack_block_coords(coords: np.ndarray) -> np.ndarray:
     """Pack non-negative ``(N, 3)`` block coordinates into int64 keys."""
@@ -76,133 +69,8 @@ def unpack_block_coords(keys: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mix(keys: np.ndarray) -> np.ndarray:
-    """splitmix64-style avalanche of int64 keys (vectorised, uint64)."""
-    x = keys.astype(np.uint64)
-    x ^= x >> _SHIFT
-    x *= _MIX_1
-    x ^= x >> _SHIFT
-    x *= _MIX_2
-    x ^= x >> _SHIFT
-    return x
-
-
-class BlockHash:
-    """Flat open-addressed (linear probe) hash: packed coord -> slot.
-
-    Keys are packed block coordinates (:func:`pack_block_coords`, always
-    ``>= 0``); the empty sentinel is ``-1``.  Capacity is a power of two
-    so probing wraps with a mask; exceeding ``max_load`` doubles the
-    table and re-inserts every key (amortised O(1) per insert).  All
-    operations are batch-vectorised — the kernels call with thousands of
-    keys at once.
-    """
-
-    EMPTY = -1
-
-    def __init__(self, capacity: int = 1024, max_load: float = 0.7):
-        if capacity < 8 or capacity & (capacity - 1):
-            raise ConfigurationError(
-                f"hash capacity must be a power of two >= 8: {capacity}"
-            )
-        if not 0.1 <= max_load <= 0.95:
-            raise ConfigurationError(f"unusable max load factor: {max_load}")
-        self.max_load = float(max_load)
-        self._keys = np.full(capacity, self.EMPTY, dtype=np.int64)
-        self._slots = np.zeros(capacity, dtype=np.int32)
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def capacity(self) -> int:
-        return len(self._keys)
-
-    @property
-    def load_factor(self) -> float:
-        return self._count / len(self._keys)
-
-    @property
-    def nbytes(self) -> int:
-        return self._keys.nbytes + self._slots.nbytes
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Slots of ``keys`` (int32), ``-1`` where a key is absent."""
-        keys = np.asarray(keys, dtype=np.int64)
-        n = keys.shape[0]
-        result = np.full(n, -1, dtype=np.int32)
-        if n == 0 or self._count == 0:
-            return result
-        mask = np.int64(len(self._keys) - 1)
-        cur = (_mix(keys) & np.uint64(mask)).astype(np.int64)
-        pending = np.arange(n, dtype=np.int64)
-        # Linear probing, all pending queries advanced together; a query
-        # retires when it finds its key (hit) or an empty slot (miss).
-        for _ in range(len(self._keys)):
-            probe = cur[pending]
-            stored = self._keys[probe]
-            hits = stored == keys[pending]
-            result[pending[hits]] = self._slots[probe[hits]]
-            alive = ~hits & (stored != self.EMPTY)
-            pending = pending[alive]
-            if pending.size == 0:
-                break
-            cur[pending] = (cur[pending] + 1) & mask
-        return result
-
-    def insert(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        """Map each ``keys[i]`` (unique, absent) to ``slots[i]``."""
-        keys = np.asarray(keys, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int32)
-        if keys.shape != slots.shape:
-            raise ConfigurationError("keys/slots length mismatch")
-        if keys.size == 0:
-            return
-        while (self._count + keys.size) > self.max_load * len(self._keys):
-            self._grow()
-        self._insert_batch(keys, slots)
-        self._count += int(keys.size)
-
-    def _insert_batch(self, keys: np.ndarray, slots: np.ndarray) -> None:
-        mask = np.int64(len(self._keys) - 1)
-        cur = (_mix(keys) & np.uint64(mask)).astype(np.int64)
-        pending = np.arange(keys.shape[0], dtype=np.int64)
-        for _ in range(len(self._keys)):
-            probe = cur[pending]
-            free = self._keys[probe] == self.EMPTY
-            claim = pending[free]
-            if claim.size:
-                # Claim empty slots; when several new keys land on the
-                # same empty slot the last fancy-index write wins, so
-                # re-read to find the winners and keep probing the rest.
-                self._keys[cur[claim]] = keys[claim]
-                self._slots[cur[claim]] = slots[claim]
-                won = self._keys[cur[claim]] == keys[claim]
-                lost = claim[~won]
-                pending = np.concatenate([pending[~free], lost])
-            else:
-                pending = pending[~free]
-            if pending.size == 0:
-                return
-            cur[pending] = (cur[pending] + 1) & mask
-        raise ConfigurationError("hash table full despite load-factor guard")
-
-    def _grow(self) -> None:
-        live = self._keys != self.EMPTY
-        keys, slots = self._keys[live], self._slots[live]
-        self._keys = np.full(2 * len(self._keys), self.EMPTY, dtype=np.int64)
-        self._slots = np.zeros(len(self._keys), dtype=np.int32)
-        self._insert_batch(keys, slots)
-
-    def items(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (key, slot) pairs, in table order."""
-        live = self._keys != self.EMPTY
-        return self._keys[live].copy(), self._slots[live].copy()
-
-
 class SparseTSDFVolume:
-    """Voxel-block-hashed TSDF volume with the dense volume's API.
+    """Voxel-block TSDF volume with the dense volume's API.
 
     Attributes:
         resolution: voxels per side (same meaning as the dense volume).
@@ -232,15 +100,10 @@ class SparseTSDFVolume:
             )
         nb = self.blocks_per_side
         # A volume never holds more than nb**3 blocks, so a small volume
-        # starts (and stays) at that many block rows, with a hash and a
-        # mask-refresh chunk no larger than that many blocks need.
+        # starts (and stays) at that many block rows, with a mask-refresh
+        # chunk no larger than that many blocks need.
         self._initial_blocks = min(max(64, int(initial_blocks)), nb**3)
         self._alloc_arrays(self._initial_blocks)
-        self._hash_capacity = 8
-        while (self._hash_capacity < 1024
-               and self._hash_capacity * 0.7 < nb**3):
-            self._hash_capacity *= 2
-        self.hash = BlockHash(self._hash_capacity)
         ns = nb * (BLOCK // SUB)
         # Sub-block s is set when a trilinear sample whose base voxel lies
         # in s may read <= 0: some voxel of s or of its forward neighbours
@@ -252,11 +115,8 @@ class SparseTSDFVolume:
         self._sub_flags = np.zeros((ns, ns, ns), dtype=bool)
         self._voxel_flags = np.zeros(
             (min(_REFRESH_CHUNK, nb**3), BLOCK, BLOCK, BLOCK), dtype=bool)
-        # Dense coord -> slot acceleration table (-1 = unallocated).  The
-        # hash stays the canonical mapping; this mirror turns the per-
-        # sample block lookups on the raycast hot path into one flat
-        # gather.  At 8^3 blocks it costs resolution^3 / 128 bytes —
-        # two orders of magnitude below the dense volume it replaces.
+        # Dense coord -> slot table (-1 = unallocated); block_coords holds
+        # the inverse.  Together they are the block mapping.
         self.block_slot_table = np.full(nb * nb * nb, -1, dtype=np.int32)
         self._n_alloc = 0
 
@@ -277,10 +137,10 @@ class SparseTSDFVolume:
 
     @property
     def allocated_bytes(self) -> int:
-        """Actual bytes held: block data in use + hash table + masks."""
+        """Actual bytes held: block data in use + slot table + masks."""
         per_block = (self.tsdf_blocks.itemsize + self.weight_blocks.itemsize) \
             * BLOCK_VOXELS + self.block_coords.itemsize * 3
-        return (self._n_alloc * per_block + self.hash.nbytes
+        return (self._n_alloc * per_block
                 + self.nonpositive_mask.nbytes + self._sub_flags.nbytes
                 + self._voxel_flags.nbytes
                 + self.block_slot_table.nbytes)
@@ -288,7 +148,6 @@ class SparseTSDFVolume:
     def reset(self) -> None:
         """Clear to the empty state (drops all allocated blocks)."""
         self._alloc_arrays(self._initial_blocks)
-        self.hash = BlockHash(self._hash_capacity)
         self.nonpositive_mask[:] = False
         self.block_slot_table[:] = -1
         self._n_alloc = 0
@@ -309,8 +168,7 @@ class SparseTSDFVolume:
         slots = self.block_slot_table[flat]
         missing = slots < 0
         if missing.any():
-            # Flat indices sort in the same (x, y, z)-lexicographic order
-            # as packed keys, so slot assignment order is unchanged.
+            # New slots go in (x, y, z)-lexicographic order of the block.
             new_flat = np.unique(flat[missing])
             start = self._n_alloc
             if start + new_flat.size > self.tsdf_blocks.shape[0]:
@@ -323,7 +181,6 @@ class SparseTSDFVolume:
                  new_flat % nb], axis=-1
             ).astype(np.int32)
             self.block_coords[start:start + new_flat.size] = new_coords
-            self.hash.insert(pack_block_coords(new_coords), new_slots)
             self.block_slot_table[new_flat] = new_slots
             self._n_alloc = start + int(new_flat.size)
             slots = self.block_slot_table[flat]

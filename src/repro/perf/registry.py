@@ -108,6 +108,7 @@ def kernel_backend_names() -> list[str]:
 
 
 # -- reference adapters -----------------------------------------------------
+@contract(depth="H,W:f64")
 def _ref_bilateral(depth, ws):
     return _ref_pre.bilateral_filter(depth)
 
@@ -126,8 +127,9 @@ def _ref_track_fn(vertices, normals, reference, pose, iters, icp_threshold,
                             icp_threshold, huber_delta=huber_delta)
 
 
-def _ref_integrate_fn(volume, depth, camera, pose, mu, ws):
-    return _ref_integrate(volume, depth, camera, pose, mu)
+@contract(depth="H,W:f64", pose_volume_from_camera="4,4:f64")
+def _ref_integrate_fn(volume, depth, camera, pose_volume_from_camera, mu, ws):
+    return _ref_integrate(volume, depth, camera, pose_volume_from_camera, mu)
 
 
 @contract(pose_volume_from_camera="4,4:f64")

@@ -10,10 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis.consistency import (
-    SpecInfo,
-    compare_space_and_consumer,
-)
 from repro.analysis.findings import Severity
 from repro.analysis.framework import (
     PARSE_RULE,
@@ -53,7 +49,7 @@ class TestFramework:
     def test_rule_catalogue_complete(self):
         catalogue = rule_catalogue()
         assert set(catalogue) == {
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
+            "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
             "RPR007", "RPR008", "RPR009", "RPR010",
             "RPR014", "RPR015", "RPR016",
         }
@@ -264,145 +260,11 @@ class TestErrorPolicy:
         assert analyze_source(src, select=["RPR003"]) == []
 
 
-def _write_rpr004_project(tmp_path, params_src, space_src, pipeline_src):
-    root = tmp_path / "proj"
-    (root / "kfusion").mkdir(parents=True)
-    (root / "hypermapper").mkdir()
-    (root / "kfusion" / "params.py").write_text(params_src)
-    (root / "hypermapper" / "space.py").write_text(space_src)
-    (root / "kfusion" / "pipeline.py").write_text(pipeline_src)
-    return root
-
-
-CLEAN_PARAMS = '''\
-DEFAULTS = {"alpha": 2, "beta": 0.5}
-
-
-def parameter_specs():
-    return [
-        ParameterSpec("alpha", "integer", DEFAULTS["alpha"], low=1, high=4),
-        ParameterSpec("beta", "real", DEFAULTS["beta"], low=0.0, high=1.0),
-    ]
-
-
-class KFusionParams:
-    alpha: int = 2
-    beta: float = 0.5
-'''
-
-CLEAN_SPACE = '''\
-def kfusion_design_space():
-    return tuple(parameter_specs())
-'''
-
-CLEAN_PIPELINE = '''\
-def run(params):
-    return params.alpha + params.beta
-'''
-
-
-class TestDesignSpaceConsistency:
-    """RPR004 — the cross-module checker and its pure comparison core."""
-
-    def test_clean_fixture_passes(self, tmp_path):
-        root = _write_rpr004_project(
-            tmp_path, CLEAN_PARAMS, CLEAN_SPACE, CLEAN_PIPELINE
-        )
-        assert analyze_paths([root], select=["RPR004"]) == []
-
-    def test_orphan_default_flagged(self, tmp_path):
-        params = CLEAN_PARAMS.replace(
-            '"beta": 0.5}', '"beta": 0.5, "gamma": 3}'
-        )
-        root = _write_rpr004_project(
-            tmp_path, params, CLEAN_SPACE, CLEAN_PIPELINE
-        )
-        findings = analyze_paths([root], select=["RPR004"])
-        assert rules_of(findings) == ["RPR004"]
-        assert "gamma" in findings[0].message
-
-    def test_default_mismatch_flagged(self, tmp_path):
-        params = CLEAN_PARAMS.replace(
-            'ParameterSpec("alpha", "integer", DEFAULTS["alpha"],',
-            'ParameterSpec("alpha", "integer", 3,',
-        )
-        root = _write_rpr004_project(
-            tmp_path, params, CLEAN_SPACE, CLEAN_PIPELINE
-        )
-        findings = analyze_paths([root], select=["RPR004"])
-        assert any("alpha" in f.message and "!=" in f.message
-                   for f in findings)
-
-    def test_unread_knob_flagged(self, tmp_path):
-        pipeline = 'def run(params):\n    return params.alpha\n'
-        root = _write_rpr004_project(
-            tmp_path, CLEAN_PARAMS, CLEAN_SPACE, pipeline
-        )
-        findings = analyze_paths([root], select=["RPR004"])
-        assert any("never read" in f.message and "beta" in f.message
-                   for f in findings)
-
-    def test_hand_maintained_space_flagged(self, tmp_path):
-        space = 'def kfusion_design_space():\n    return ()\n'
-        root = _write_rpr004_project(
-            tmp_path, CLEAN_PARAMS, space, CLEAN_PIPELINE
-        )
-        findings = analyze_paths([root], select=["RPR004"])
-        assert any("parameter_specs" in f.message for f in findings)
-
-    def test_not_applied_without_both_modules(self, tmp_path):
-        root = tmp_path / "proj"
-        (root / "kfusion").mkdir(parents=True)
-        (root / "kfusion" / "params.py").write_text(CLEAN_PARAMS)
-        assert analyze_paths([root], select=["RPR004"]) == []
-
-    def test_compare_flags_out_of_bounds_default(self):
-        spec = SpecInfo(name="alpha", kind="integer", default=9,
-                        low=1, high=4, choices=None, lineno=1)
-        problems = compare_space_and_consumer(
-            [spec], {"alpha": (9, 1)}, {"alpha": (9, 2)}, {"alpha"}
-        )
-        assert any("outside declared bounds" in msg
-                   for _, _, msg in problems)
-
-    def test_compare_flags_missing_consumer_field(self):
-        spec = SpecInfo(name="alpha", kind="integer", default=2,
-                        low=1, high=4, choices=None, lineno=1)
-        problems = compare_space_and_consumer(
-            [spec], {"alpha": (2, 1)}, {}, {"alpha"}
-        )
-        assert any("no KFusionParams field" in msg for _, _, msg in problems)
-
-    def test_compare_flags_field_outside_space(self):
-        problems = compare_space_and_consumer(
-            [], {}, {"alpha": (2, 7)}, {"alpha"}
-        )
-        assert any("not declared in the design space" in msg
-                   for _, _, msg in problems)
-
-    def test_compare_flags_categorical_default_not_in_choices(self):
-        spec = SpecInfo(name="mode", kind="categorical", default="z",
-                        low=None, high=None, choices=("a", "b"), lineno=3)
-        problems = compare_space_and_consumer(
-            [spec], {"mode": ("z", 1)}, {"mode": ("z", 2)}, {"mode"}
-        )
-        assert any("not among declared choices" in msg
-                   for _, _, msg in problems)
-
-    def test_compare_clean_synthetic(self):
-        spec = SpecInfo(name="alpha", kind="integer", default=2,
-                        low=1, high=4, choices=None, lineno=1)
-        assert compare_space_and_consumer(
-            [spec], {"alpha": (2, 1)}, {"alpha": (2, 2)}, {"alpha"}
-        ) == []
-
-    def test_real_tree_consistent(self):
-        findings = analyze_paths([REPO_SRC], select=["RPR004"])
-        assert findings == []
-
-
 class TestContractSyntaxChecker:
-    """RPR005 — the static side of @contract."""
+    """RPR005 — what a static reader of @contract needs: literals.
+
+    Malformed strings, unknown parameters and contradictory stacks fail
+    at decoration time (see TestContractRuntime)."""
 
     def test_good_contract_clean(self):
         src = (
@@ -412,46 +274,6 @@ class TestContractSyntaxChecker:
             "    return depth\n"
         )
         assert analyze_source(src, select=["RPR005"]) == []
-
-    def test_malformed_string_flagged(self):
-        src = (
-            "from repro.contracts import contract\n"
-            "@contract(depth='H,,W:f64')\n"
-            "def f(depth):\n"
-            "    return depth\n"
-        )
-        findings = analyze_source(src, select=["RPR005"])
-        assert rules_of(findings) == ["RPR005"]
-
-    def test_unknown_dtype_flagged(self):
-        src = (
-            "from repro.contracts import contract\n"
-            "@contract(depth='H,W:q7')\n"
-            "def f(depth):\n"
-            "    return depth\n"
-        )
-        assert rules_of(analyze_source(src, select=["RPR005"])) == ["RPR005"]
-
-    def test_unknown_parameter_flagged(self):
-        src = (
-            "from repro.contracts import contract\n"
-            "@contract(nope='4,4:f64')\n"
-            "def f(depth):\n"
-            "    return depth\n"
-        )
-        findings = analyze_source(src, select=["RPR005"])
-        assert "no parameter" in findings[0].message
-
-    def test_contradictory_stacked_decorators_flagged(self):
-        src = (
-            "from repro.contracts import contract\n"
-            "@contract(x='4,4:f64')\n"
-            "@contract(x='3,3:f64')\n"
-            "def f(x):\n"
-            "    return x\n"
-        )
-        findings = analyze_source(src, select=["RPR005"])
-        assert any("contradictory" in f.message for f in findings)
 
     def test_non_literal_contract_flagged(self):
         src = (
@@ -463,6 +285,17 @@ class TestContractSyntaxChecker:
         )
         findings = analyze_source(src, select=["RPR005"])
         assert any("string literal" in f.message for f in findings)
+
+    def test_kwargs_spread_flagged(self):
+        src = (
+            "from repro.contracts import contract\n"
+            "SPECS = {'x': '4,4:f64'}\n"
+            "@contract(**SPECS)\n"
+            "def f(x):\n"
+            "    return x\n"
+        )
+        findings = analyze_source(src, select=["RPR005"])
+        assert any("spread" in f.message for f in findings)
 
     def test_unrelated_decorator_ignored(self):
         src = (

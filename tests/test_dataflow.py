@@ -10,6 +10,7 @@ the clean-repo check run through ``repro graph check``.
 """
 
 import dataclasses
+import types
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,14 @@ import pytest
 from repro.analysis.dataflow import (
     GraphUnderCheck,
     check_graphs,
+    resolve_slot_kernels,
     run_kernel_contract_check,
 )
 from repro.analysis.framework import ModuleContext
 from repro.cli import main
 from repro.contracts import (
     ContractError,
+    contract,
     parse_port_contract,
     port_contract_mismatch,
 )
@@ -40,6 +43,7 @@ from repro.graph import (
     register_stage,
 )
 from repro.graph.stage import _STAGES
+from repro.perf import get_kernel_backend, kernel_backend_names
 
 register_defaults()
 
@@ -168,25 +172,15 @@ class TestCompilerSemanticEdges:
             Port("x", "img(")
 
 
-REGISTRY_SRC = """\
-from . import fastk as _fastk
+def _fast_backend(**contracts):
+    """A synthetic ``fast`` backend whose integrate slot declares
+    ``contracts``, read live like a registered backend's."""
+    def kernel(depth, pose=None):
+        return depth
 
-
-class KernelBackend:
-    pass
-
-
-FAST = KernelBackend(name="fast", integrate=_fastk.kernel)
-"""
-
-
-def _kernel_src(spec):
-    return (
-        "from ..contracts import contract\n"
-        f"@contract(depth={spec!r})\n"
-        "def kernel(depth):\n"
-        "    return depth\n"
-    )
+    kernel.__module__, kernel.__qualname__ = "repro.perf.fastk", "kernel"
+    return types.SimpleNamespace(name="fast",
+                                 integrate=contract(**contracts)(kernel))
 
 
 def _graphdef_src(helper_spec=None):
@@ -211,20 +205,17 @@ class TestKernelContracts:
     """RPR012: graph ports vs the @contract of kernels the body calls."""
 
     def _check(self, scratch, kernel_spec, helper_spec=None,
-               port="depth.map(H,W:f32)"):
-        contexts = [
-            ctx("/scratch/repro/perf/registry.py", REGISTRY_SRC),
-            ctx("/scratch/repro/perf/fastk.py", _kernel_src(kernel_spec)),
-            ctx("/scratch/repro/myalgo/graphdef.py",
-                _graphdef_src(helper_spec)),
-        ]
+               port="depth.map(H,W:f32)", backend=None):
+        contexts = [ctx("/scratch/repro/myalgo/graphdef.py",
+                        _graphdef_src(helper_spec))]
         register_stage(_spec("syn.stage", inputs=(Port("depth", port),)))
         spec = GraphSpec(name="syn", nodes=(("node", "syn.stage"),))
         graph = _under_check(
             spec,
             body_qnames={"node": "repro.myalgo.graphdef._run_stage"},
         )
-        return [f for f in check_graphs([graph], contexts)
+        backend = backend or _fast_backend(depth=kernel_spec)
+        return [f for f in check_graphs([graph], contexts, [backend])
                 if f.rule_id == "RPR012"]
 
     def test_matching_kernel_is_clean(self, scratch_registry):
@@ -262,24 +253,8 @@ class TestKernelContracts:
     def test_kernel_params_without_ports_ignored(self, scratch_registry):
         # poses/thresholds are not wired through graph ports; RPR012
         # only compares same-named params.
-        contexts = [
-            ctx("/scratch/repro/perf/registry.py", REGISTRY_SRC),
-            ctx("/scratch/repro/perf/fastk.py",
-                "from ..contracts import contract\n"
-                "@contract(pose='4,4:f64')\n"
-                "def kernel(depth, pose):\n"
-                "    return depth\n"),
-            ctx("/scratch/repro/myalgo/graphdef.py", _graphdef_src()),
-        ]
-        register_stage(_spec(
-            "syn.stage", inputs=(Port("depth", "depth.map(H,W:f32)"),)))
-        spec = GraphSpec(name="syn", nodes=(("node", "syn.stage"),))
-        graph = _under_check(
-            spec,
-            body_qnames={"node": "repro.myalgo.graphdef._run_stage"},
-        )
-        assert [f for f in check_graphs([graph], contexts)
-                if f.rule_id == "RPR012"] == []
+        assert self._check(scratch_registry, None,
+                           backend=_fast_backend(pose="4,4:f64")) == []
 
 
 def _registered_graphs():
@@ -301,10 +276,25 @@ class TestCleanRepoAndMutation:
 
     def test_run_kernel_contract_check_exits_zero(self):
         out = []
-        code = run_kernel_contract_check(_registered_graphs(),
-                                         [str(REPO_SRC)], echo=out.append)
+        code = run_kernel_contract_check(
+            _registered_graphs(), [str(REPO_SRC)],
+            [get_kernel_backend(n) for n in kernel_backend_names()],
+            echo=out.append)
         assert code == 0
         assert out[0].startswith("clean:")
+
+    def test_every_backend_slot_contract_is_compared(self):
+        # bilateral_filter, integrate and raycast_model declare
+        # contracts on all three backends (the reference adapters carry
+        # their kernels' contracts); the other slots declare none.
+        rows = resolve_slot_kernels(
+            [get_kernel_backend(n) for n in kernel_backend_names()])
+        assert {slot: [info.label for info in infos]
+                for slot, infos in rows.items()} == {
+            slot: ["backend 'fast'", "backend 'reference'",
+                   "backend 'sparse'"]
+            for slot in ("bilateral_filter", "integrate", "raycast_model")
+        }
 
     def test_flipping_port_dtype_turns_check_red(self, capsys, monkeypatch):
         # The acceptance-criteria mutation: kfusion/graphdef.py declares

@@ -4,9 +4,9 @@ Covers the call graph (repro.analysis.callgraph), the intrinsic effect
 seeds and transitive fixpoint (repro.analysis.effects), the policy rules
 RPR008/RPR009/RPR010 (repro.analysis.policy) with true-positive /
 false-positive guard pairs, the ``repro arch`` commands, the effect
-snapshot diff, the ``repro lint`` exit-code contract, and the RPR004
-backend-contract arm — plus the check that the repo itself is clean
-under the committed ARCHITECTURE.toml.
+snapshot diff and the ``repro lint`` exit-code contract — plus the
+check that the repo itself is clean under the committed
+ARCHITECTURE.toml.
 """
 
 import json
@@ -25,12 +25,6 @@ from repro.analysis.commands import (
     graph_as_json,
     load_snapshot,
     write_snapshot,
-)
-from repro.analysis.consistency import (
-    compare_backend_contracts,
-    extract_contract_decls,
-    extract_kernel_backends,
-    resolve_backend_kernel,
 )
 from repro.analysis.effects import EffectAnalysis, snapshot_payload
 from repro.analysis.framework import ModuleContext, analyze_paths
@@ -519,102 +513,6 @@ class TestPolicyParser:
         assert doc == tomllib.loads(text)
 
 
-REGISTRY_SRC = """\
-from . import fast as _fast
-from . import ref as _ref
-
-
-class KernelBackend:
-    pass
-
-
-def _ref_adapter(depth, ws):
-    return _ref.kernel(depth)
-
-
-REF = KernelBackend(name="reference", integrate=_ref_adapter)
-FAST = KernelBackend(name="fast", integrate=_fast.kernel)
-"""
-
-
-def _registry_contexts(fast_contract, ref_contract):
-    def decorated(spec):
-        dec = f'@contract({spec})\n' if spec else ""
-        return (
-            "from ..contracts import contract\n"
-            f"{dec}def kernel(depth):\n"
-            "    return depth\n"
-        )
-
-    return [
-        ctx("/scratch/repro/perf/registry.py", REGISTRY_SRC),
-        ctx("/scratch/repro/perf/fast.py", decorated(fast_contract)),
-        ctx("/scratch/repro/perf/ref.py", decorated(ref_contract)),
-    ]
-
-
-def _backend_problems(fast_contract, ref_contract):
-    contexts = _registry_contexts(fast_contract, ref_contract)
-    graph = build_callgraph(contexts)
-    backends = extract_kernel_backends(contexts[0].tree)
-
-    def resolved(name):
-        _, slots = backends[name]
-        out = {}
-        for slot, (dotted, lineno) in slots.items():
-            qname = graph.resolve_function(f"repro.perf.registry.{dotted}")
-            qname = resolve_backend_kernel(graph, qname)
-            decls = extract_contract_decls(graph.functions[qname].ast_node)
-            out[slot] = (qname, decls, lineno)
-        return out
-
-    return compare_backend_contracts(resolved("reference"),
-                                     resolved("fast"), "fast")
-
-
-class TestBackendContracts:
-    def test_extract_kernel_backends(self):
-        import ast as ast_mod
-
-        backends = extract_kernel_backends(ast_mod.parse(REGISTRY_SRC))
-        assert set(backends) == {"reference", "fast"}
-        assert backends["fast"][1]["integrate"][0] == "_fast.kernel"
-
-    def test_adapter_unwrapped_to_kernel(self):
-        contexts = _registry_contexts('depth="H,W:f32"', 'depth="H,W:f64"')
-        graph = build_callgraph(contexts)
-        assert resolve_backend_kernel(
-            graph, "repro.perf.registry._ref_adapter"
-        ) == "repro.perf.ref.kernel"
-
-    def test_width_difference_is_allowed(self):
-        assert _backend_problems('depth="H,W:f32"', 'depth="H,W:f64"') == []
-
-    def test_symmetric_absence_is_allowed(self):
-        assert _backend_problems(None, None) == []
-
-    def test_shape_mismatch_flagged(self):
-        problems = _backend_problems('depth="N:f32"', 'depth="H,W:f64"')
-        assert len(problems) == 1
-        assert "shape" in problems[0][1]
-
-    def test_kind_mismatch_flagged(self):
-        problems = _backend_problems('depth="H,W:i32"', 'depth="H,W:f64"')
-        assert len(problems) == 1
-        assert "kind differs" in problems[0][1]
-
-    def test_asymmetric_declaration_flagged(self):
-        problems = _backend_problems(None, 'depth="H,W:f64"')
-        assert len(problems) == 1
-        assert "does not" in problems[0][1]
-
-    def test_parameter_set_mismatch_flagged(self):
-        problems = _backend_problems('depth="H,W:f32", pose="4,4:f64"',
-                                     'depth="H,W:f64"')
-        assert len(problems) == 1
-        assert "different parameters" in problems[0][1]
-
-
 class TestProgramModel:
     def test_one_lint_run_builds_graph_and_fixpoint_once(self, monkeypatch):
         from repro.analysis import callgraph, effects, framework
@@ -647,9 +545,6 @@ class TestRepoIsClean:
     def test_arch_rules_clean_on_repo(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         assert analyze_paths([str(REPO_SRC)], select=ARCH_RULES) == []
-
-    def test_backend_contracts_clean_on_repo(self):
-        assert analyze_paths([str(REPO_SRC)], select=["RPR004"]) == []
 
     def test_committed_snapshot_is_current(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)

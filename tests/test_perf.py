@@ -3,7 +3,8 @@
 Three layers:
 
 * **workspace/registry semantics** — the arena's reuse, budget and
-  error behaviour; backend lookup and registration.
+  error behaviour; backend lookup and registration; every registered
+  backend's kernels declare the same ``@contract`` shapes.
 * **per-kernel equivalence** — each fast kernel against its reference
   twin on synthetic frames, at float32 tolerance.
 * **golden equivalence** — the whole pipeline, both backends, on the
@@ -11,6 +12,7 @@ Three layers:
   within the documented float32 tolerance (DESIGN.md S17).
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.contracts import contract
 from repro.core import run_benchmark
 from repro.core.registry import create_algorithm, register_defaults
 from repro.datasets import icl_nuim
@@ -201,6 +204,69 @@ class TestKernelBackendRegistry:
         register_defaults()
         with pytest.raises(ConfigurationError, match="rejected arguments"):
             create_algorithm("static", kernel_backend="fast")
+
+
+def contract_disagreements(backends) -> list[str]:
+    """How the backends' slot ``@contract``s differ, against the first.
+
+    Every backend must declare the same parameters per slot, with
+    identical shape tokens and the same dtype kind; the float width may
+    differ (f32 vs f64 is the backend distinction).
+    """
+    slots = [f.name for f in dataclasses.fields(KernelBackend)
+             if f.name != "name"]
+    problems = []
+    for slot in slots:
+        (ref_name, ref), *others = [
+            (b.name, getattr(getattr(b, slot), "__repro_contracts__", {}))
+            for b in backends]
+        for name, decls in others:
+            if set(decls) != set(ref):
+                problems.append(f"{slot}: {name} declares {sorted(decls)}, "
+                                f"{ref_name} {sorted(ref)}")
+                continue
+            for param, spec in sorted(decls.items()):
+                want = ref[param]
+                if ((spec.dims, spec.ellipsis_leading)
+                        != (want.dims, want.ellipsis_leading)):
+                    problems.append(f"{slot}({param}): {name} shape "
+                                    f"{spec.text!r}, {ref_name} {want.text!r}")
+                elif spec.kind != want.kind:
+                    problems.append(f"{slot}({param}): {name} kind "
+                                    f"{spec.text!r}, {ref_name} {want.text!r}")
+    return problems
+
+
+def _integrate_declaring(**contracts):
+    def kernel(volume, depth, camera, pose_volume_from_camera, mu, ws):
+        return 0
+
+    return contract(**contracts)(kernel) if contracts else kernel
+
+
+class TestBackendContractAgreement:
+    def test_registered_backends_agree(self):
+        backends = [get_kernel_backend(n) for n in kernel_backend_names()]
+        assert contract_disagreements(backends) == []
+
+    @pytest.mark.parametrize("contracts, problem", [
+        ({"depth": "H,W:f32", "pose_volume_from_camera": "4,4:f64"}, None),
+        ({"depth": "W,H:f32", "pose_volume_from_camera": "4,4:f64"},
+         "shape"),
+        ({"depth": "H,W:i32", "pose_volume_from_camera": "4,4:f64"}, "kind"),
+        ({"depth": "H,W:f32"}, "declares"),
+        ({}, "declares"),
+    ], ids=["width", "shape", "kind", "params", "undeclared"])
+    def test_drift_is_caught_width_is_not(self, contracts, problem):
+        drifted = dataclasses.replace(
+            REFERENCE_BACKEND, name="drifted",
+            integrate=_integrate_declaring(**contracts))
+        found = contract_disagreements([REFERENCE_BACKEND, drifted])
+        if problem is None:
+            assert found == []
+        else:
+            assert len(found) == 1
+            assert found[0].startswith("integrate") and problem in found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Tests for the sparse voxel-block TSDF volume (``repro.kfusion.sparse``).
 
-Three layers:
+Layers:
 
-* **BlockHash properties** — hypothesis-driven insert/lookup/rehash
-  round-trips; no key is lost to collisions even at high load.
-* **SparseTSDFVolume semantics** — allocation, the hash/slot-table
-  mirror agreement, dense-volume read semantics over unallocated space,
-  occupancy statistics.
+* **Packed block coordinates** — the band keys the sparse integrate
+  kernel builds round-trip through pack/unpack.
+* **SparseTSDFVolume semantics** — allocation, the slot table /
+  ``block_coords`` inverse pair, dense-volume read semantics over
+  unallocated space, occupancy statistics.
 * **integrate/raycast bit-equivalence** — within allocated blocks the
   sparse kernels reproduce the dense fast kernels *bit-for-bit* (the
   foundation of the sparse backend's golden equivalence; DESIGN.md S22).
@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import icl_nuim
-from repro.errors import ConfigurationError
 from repro.geometry import PinholeCamera, se3
 from repro.kfusion import KinectFusion
 from repro.kfusion.memory import stage_workspace_bytes, workspace_bytes
@@ -31,7 +30,6 @@ from repro.kfusion.sparse import (
     BLOCK,
     NONPOS_FLOOR,
     SUB,
-    BlockHash,
     SparseTSDFVolume,
     pack_block_coords,
     unpack_block_coords,
@@ -79,89 +77,33 @@ def test_pack_unpack_roundtrip(coords):
 
 
 # ---------------------------------------------------------------------------
-# BlockHash
-# ---------------------------------------------------------------------------
-class TestBlockHash:
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ConfigurationError):
-            BlockHash(capacity=48)
-        with pytest.raises(ConfigurationError):
-            BlockHash(capacity=4)
-
-    def test_empty_lookup_misses(self):
-        h = BlockHash()
-        np.testing.assert_array_equal(
-            h.lookup(np.array([0, 1, 12345], dtype=np.int64)), [-1, -1, -1]
-        )
-
-    @given(keys=st.lists(st.integers(min_value=0, max_value=(1 << 60) - 1),
-                         min_size=1, max_size=200, unique=True),
-           n_batches=st.integers(min_value=1, max_value=4))
-    @settings(max_examples=40, deadline=None)
-    def test_insert_lookup_roundtrip(self, keys, n_batches):
-        """Batched inserts (forcing rehashes from a tiny table) lose
-        nothing: every key maps back to its slot, absentees miss."""
-        h = BlockHash(capacity=8)
-        keys = np.array(keys, dtype=np.int64)
-        slots = np.arange(keys.size, dtype=np.int32)
-        for part_k, part_s in zip(np.array_split(keys, n_batches),
-                                  np.array_split(slots, n_batches)):
-            h.insert(part_k, part_s)
-        assert len(h) == keys.size
-        np.testing.assert_array_equal(h.lookup(keys), slots)
-        # Shuffled query order must not matter.
-        perm = np.random.default_rng(0).permutation(keys.size)
-        np.testing.assert_array_equal(h.lookup(keys[perm]), slots[perm])
-        absent = keys + np.int64(1 << 61)
-        np.testing.assert_array_equal(h.lookup(absent),
-                                      np.full(keys.size, -1))
-
-    def test_no_collision_loss_at_high_load(self):
-        """Thousands of clustered keys (worst case for linear probing)
-        survive repeated growth without dropping a single mapping."""
-        h = BlockHash(capacity=8)
-        side = 17  # 4913 keys, clustered coordinates
-        grid = np.stack(np.meshgrid(*(np.arange(side),) * 3,
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        keys = pack_block_coords(grid)
-        slots = np.arange(keys.size, dtype=np.int32)
-        h.insert(keys, slots)
-        assert len(h) == keys.size
-        assert h.load_factor <= h.max_load
-        assert h.capacity & (h.capacity - 1) == 0
-        np.testing.assert_array_equal(h.lookup(keys), slots)
-
-    def test_items_round_trip(self):
-        h = BlockHash()
-        keys = pack_block_coords(np.array([[1, 2, 3], [4, 5, 6]]))
-        h.insert(keys, np.array([7, 9], dtype=np.int32))
-        got_k, got_s = h.items()
-        assert dict(zip(got_k.tolist(), got_s.tolist())) == \
-            {int(keys[0]): 7, int(keys[1]): 9}
-
-
-# ---------------------------------------------------------------------------
 # SparseTSDFVolume
 # ---------------------------------------------------------------------------
 class TestSparseVolume:
     @given(batches=st.lists(coord_arrays, min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
-    def test_slot_table_mirrors_hash(self, batches):
+    def test_slot_table_mirrors_block_coords(self, batches):
         """After arbitrary allocation batches the dense slot table and
-        the canonical hash agree on every allocated block."""
+        ``block_coords`` are inverses over every allocated block, and
+        slots go out in first-seen batch order, lexicographic within a
+        batch."""
         vol = SparseTSDFVolume(resolution=48, size=5.0, initial_blocks=64)
         nb = vol.blocks_per_side
+        expected: list[tuple] = []
         for batch in batches:
             coords = np.array(batch, dtype=np.int64)
+            expected += sorted(set(map(tuple, batch)) - set(expected))
             slots = vol.ensure_blocks(coords)
             # Idempotent: a second call returns the same slots.
             np.testing.assert_array_equal(vol.ensure_blocks(coords), slots)
-        keys, hash_slots = vol.hash.items()
-        assert len(keys) == vol.allocated_blocks
-        c = unpack_block_coords(keys).astype(np.int64)
+        n = vol.allocated_blocks
+        assert n == len(expected)
+        c = vol.block_coords[:n].astype(np.int64)
+        np.testing.assert_array_equal(c, np.array(expected).reshape(-1, 3))
         flat = (c[:, 0] * nb + c[:, 1]) * nb + c[:, 2]
-        np.testing.assert_array_equal(vol.block_slot_table[flat], hash_slots)
-        # Everything else is unallocated in both views.
+        np.testing.assert_array_equal(vol.block_slot_table[flat],
+                                      np.arange(n))
+        # Everything else is unallocated.
         mask = np.ones(nb**3, dtype=bool)
         mask[flat] = False
         assert np.all(vol.block_slot_table[mask] == -1)
@@ -416,7 +358,7 @@ class TestNonPositiveMask:
         vol = SparseTSDFVolume(resolution=48, size=5.0)
         assert vol.allocated_blocks == 0
         assert vol.allocated_bytes >= vol.nonpositive_mask.nbytes \
-            + vol.block_slot_table.nbytes + vol.hash.nbytes
+            + vol.block_slot_table.nbytes
         assert vol.nonpositive_mask.shape == (24, 24, 24)
 
 
