@@ -11,8 +11,9 @@ that every knob moves a run and that all backends declare matching
 =======  ==============================================================
 RPR001   timing-discipline: no stdlib clock reads outside
          :mod:`repro.telemetry`
-RPR002   rng-discipline: no ``np.random.seed`` / legacy global draws —
-         inject a seeded ``np.random.Generator``
+RPR002   rng-discipline: no ``np.random.seed`` / legacy global draws,
+         and no unseeded ``default_rng()`` / ``SeedSequence()`` / bit
+         generator — inject a seeded ``np.random.Generator``
 RPR003   error-policy: raise the :mod:`repro.errors` hierarchy, and CLI
          ``main()`` must catch :class:`~repro.errors.ReproError`
 RPR005   contract-validation: ``@contract`` declares string literals
@@ -42,8 +43,6 @@ RPR012   kernel-contract-consistency: graph port contracts agree with
 RPR014   lockset-discipline: state written in multi-thread-reachable
          code needs a non-empty common lockset, a verified ``[[lock]]``
          guards declaration, or ``# guarded-by: <target> -- <reason>``
-RPR015   lock-order-discipline: nested lock acquisitions must form a
-         DAG — ordering cycles are potential deadlocks
 RPR016   wait-discipline: untimed ``Condition.wait`` sits in a
          predicate loop; no blocking or forbidden-effect calls while
          holding a lock (composes with the RPR009 effect fixpoint)
@@ -52,11 +51,12 @@ RPR016   wait-discipline: untimed ``Condition.wait`` sits in a
 RPR012 runs against the *registered graph definitions* rather than
 per-file, so it lives in ``repro graph check`` (same exit-code contract,
 same ``# noqa`` handling) instead of ``repro lint``; see
-:mod:`repro.analysis.dataflow`.  RPR014-016 (the lockset concurrency
+:mod:`repro.analysis.dataflow`.  RPR014/016 (the lockset concurrency
 verifier over the thread/process layers) also run standalone under
-``repro races check`` with a committed ``CONCURRENCY.json`` snapshot;
-see :mod:`~repro.analysis.concurrency` and
-:mod:`~repro.analysis.commands`.
+``repro races check``, which validates the ``[concurrency]`` policy
+names too; see :mod:`~repro.analysis.concurrency` and
+:mod:`~repro.analysis.commands`.  The rules are the gates: no snapshot
+of inferred effects or concurrency facts is committed.
 
 Every whole-program rule and command shares one parse, one call graph
 and one effect fixpoint per file set: the
@@ -77,9 +77,9 @@ Importing this package registers all checkers; the per-rule modules are
 :mod:`~repro.analysis.checkers` (RPR001/2/3/5/6/7),
 :mod:`~repro.analysis.policy` (RPR008/9/10, backed by
 :mod:`~repro.analysis.callgraph` and :mod:`~repro.analysis.effects`) and
-:mod:`~repro.analysis.concurrency` (RPR014/15/16).
+:mod:`~repro.analysis.concurrency` (RPR014/16).
 """
 
 from . import checkers as _checkers  # noqa: F401 (registers RPR001/2/3/5/6/7)
-from . import concurrency as _concurrency  # noqa: F401 (RPR014/15/16)
+from . import concurrency as _concurrency  # noqa: F401 (RPR014/16)
 from . import policy as _policy  # noqa: F401  (registers RPR008/9/10)

@@ -9,7 +9,8 @@
   every random draw flows from an injected, seeded
   ``np.random.Generator``.  The legacy global-state API
   (``np.random.seed`` + module-level draws) silently couples unrelated
-  experiments.
+  experiments, and a ``default_rng()`` / ``SeedSequence()`` / bit
+  generator built without a seed draws OS entropy, so no two runs agree.
 * **RPR003 error-policy** — the library promises callers they can catch
   :class:`~repro.errors.ReproError` without swallowing programming
   errors; raising bare builtins breaks that, and a CLI ``main`` without
@@ -56,7 +57,8 @@ BANNED_CLOCKS = frozenset({
 })
 
 #: Legacy global-state numpy.random members (RPR002).  ``default_rng``,
-#: ``Generator``, ``SeedSequence`` and the bit generators stay legal.
+#: ``Generator``, ``SeedSequence`` and the bit generators stay legal
+#: when given a seed (:data:`NEEDS_SEED_NP_RANDOM`).
 BANNED_NP_RANDOM = frozenset({
     "seed", "get_state", "set_state", "RandomState",
     "rand", "randn", "randint", "random_integers",
@@ -66,6 +68,13 @@ BANNED_NP_RANDOM = frozenset({
     "beta", "binomial", "exponential", "gamma", "geometric",
     "laplace", "poisson", "power", "rayleigh", "triangular",
     "vonmises", "weibull", "zipf", "multivariate_normal",
+})
+
+#: numpy.random constructors that draw OS entropy when called with no
+#: argument or a literal ``None`` (RPR002).
+NEEDS_SEED_NP_RANDOM = frozenset({
+    "default_rng", "SeedSequence",
+    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
 })
 
 #: Builtin exceptions the library must not raise on public paths
@@ -123,11 +132,23 @@ class RngDisciplineChecker(Checker):
 
     rule_id = "RPR002"
     title = ("rng-discipline: no np.random.seed / legacy module-level "
-             "draws — inject a seeded np.random.Generator")
+             "draws / unseeded default_rng() — inject a seeded "
+             "np.random.Generator")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         reported: set[tuple[int, str]] = set()
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) and _unseeded(node):
+                dotted = ctx.resolve(node.func)
+                member = (dotted or "").rpartition(".")[2]
+                if (dotted == f"numpy.random.{member}"
+                        and member in NEEDS_SEED_NP_RANDOM):
+                    yield ctx.finding(
+                        node, self.rule_id,
+                        f"numpy.random.{member}() without a seed draws OS "
+                        f"entropy, breaking DSE reproducibility; pass the "
+                        f"run's seed (np.random.default_rng(seed))",
+                    )
             if not isinstance(node, (ast.Attribute, ast.Name)):
                 continue
             dotted = ctx.resolve(node)
@@ -152,6 +173,15 @@ class RngDisciplineChecker(Checker):
                 f"breaking DSE reproducibility; {hint} "
                 f"(np.random.default_rng(seed))",
             )
+
+
+def _unseeded(call: ast.Call) -> bool:
+    """No argument at all, or a literal ``None`` as the only one."""
+    args = list(call.args) + [kw.value for kw in call.keywords]
+    if not args:
+        return True
+    return (len(args) == 1 and isinstance(args[0], ast.Constant)
+            and args[0].value is None)
 
 
 class _MainTracebackVisitor(ast.NodeVisitor):

@@ -2,11 +2,11 @@
 
 Thin, testable functions over one :class:`~repro.analysis.program.Program`,
 each with the lint exit-code contract (0 clean / 1 findings / 2 internal
-error).  ``arch snapshot|diff`` and ``races snapshot|diff`` write or
-compare the committed ``ARCH_EFFECTS.json`` / ``CONCURRENCY.json``
-through one snapshot front-end (:func:`write_snapshot`,
-:func:`load_snapshot`, :func:`diff_snapshots`): **new** lines fail
-(exit 1) so they must be reviewed, removals are informational.
+error).  ``arch show|graph|effects`` and ``races show`` only print what
+the analysis inferred; the gates are the lint rules themselves
+(``repro lint`` runs RPR008-010 and RPR014/016), plus ``races check``,
+which also validates the ``[concurrency]`` policy names against the
+tree.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import json
 from pathlib import Path
 from typing import Callable, Sequence
 
-from ..errors import ReproError
 from .callgraph import CallGraph
 from .concurrency import RACE_RULES, ConcurrencyAnalysis
-from .effects import snapshot_payload
-from .framework import AnalysisError
 from .lint import (
     LINT_EXIT_CLEAN,
     LINT_EXIT_FINDINGS,
@@ -33,92 +30,7 @@ from .program import load_program
 #: Default tree the commands analyze.
 DEFAULT_PATHS = ("src/repro",)
 
-ARCH_RULES = ("RPR008", "RPR009", "RPR010")
-
-#: Committed snapshots, and the version both carry.
-ARCH_SNAPSHOT = "ARCH_EFFECTS.json"
-RACES_SNAPSHOT = "CONCURRENCY.json"
-SNAPSHOT_VERSION = 1
-
 Echo = Callable[[str], None]
-
-
-# -- the snapshot front-end -------------------------------------------------
-def _document(payload: dict) -> dict:
-    return {"version": SNAPSHOT_VERSION, **payload}
-
-
-def write_snapshot(payload: dict, path: str) -> None:
-    """Write a snapshot payload, stamped with :data:`SNAPSHOT_VERSION`."""
-    Path(path).write_text(
-        json.dumps(_document(payload), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-
-
-def load_snapshot(path: str) -> dict:
-    """Read a snapshot written by :func:`write_snapshot`; a missing or
-    malformed file, or another version, is an :class:`AnalysisError`."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise AnalysisError(f"cannot read snapshot {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"malformed snapshot {path}: {exc}") from exc
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != SNAPSHOT_VERSION:
-        raise AnalysisError(f"snapshot {path} has version {version!r}; "
-                            f"expected {SNAPSHOT_VERSION}")
-    return {k: v for k, v in doc.items() if k != "version"}
-
-
-def snapshot_lines(payload: dict) -> set[str]:
-    """One reviewable line per fact: ``qname: effect`` for effect
-    snapshots; field verdicts, lock-order edges and thread contexts for
-    concurrency snapshots."""
-    lines = {f"{qname}: {effect}"
-             for qname, effects in payload.get("functions", {}).items()
-             for effect in effects}
-    for key, entry in payload.get("fields", {}).items():
-        tail = entry.get("locks") or entry.get("guard") \
-            or entry.get("declared") or ""
-        if isinstance(tail, list):
-            tail = ",".join(tail)
-        lines.add(f"field {key}: {entry.get('verdict')}"
-                  + (f" [{tail}]" if tail else ""))
-    for edge in payload.get("lock_order", []):
-        lines.add(f"order {edge}")
-    for name, ctx in payload.get("contexts", {}).items():
-        lines.add(f"context {name}: roots={len(ctx.get('roots', []))}")
-    return lines
-
-
-def diff_snapshots(old: dict, new: dict) -> tuple[list[str], list[str]]:
-    """``(added, removed)`` snapshot lines; additions block CI."""
-    before, after = snapshot_lines(old), snapshot_lines(new)
-    return sorted(after - before), sorted(before - after)
-
-
-def _diff(payload: dict, against: str, echo: Echo, *, new: str,
-          noun: str, review: str, unchanged: str) -> int:
-    added, removed = diff_snapshots(load_snapshot(against), payload)
-    for line in removed:
-        echo(f"note: {line}")
-    for line in added:
-        echo(f"{new}: {line}")
-    if added:
-        echo(f"{len(added)} {noun} vs {against}; {review} once accepted")
-        return LINT_EXIT_FINDINGS
-    echo(f"{unchanged} vs {against}"
-         + (f" ({len(removed)} removal(s))" if removed else ""))
-    return LINT_EXIT_CLEAN
-
-
-def _checked(tool: str, paths: Sequence[str], rules: Sequence[str],
-             echo: Echo) -> int:
-    if not Path(DEFAULT_POLICY).is_file():
-        echo(f"{tool}: no {DEFAULT_POLICY} in the working directory")
-        return LINT_EXIT_INTERNAL
-    return run_lint(list(paths), select=list(rules), echo=echo)
 
 
 # -- repro arch --------------------------------------------------------------
@@ -149,12 +61,6 @@ def arch_show(policy_path: str = DEFAULT_POLICY, echo: Echo = print) -> int:
         for w in policy.waivers:
             echo(f"    {w.rule} {w.source} -> {w.target}: {w.reason}")
     return LINT_EXIT_CLEAN
-
-
-def arch_check(paths: Sequence[str] = DEFAULT_PATHS,
-               echo: Echo = print) -> int:
-    """Run the architecture rules only; lint exit-code contract."""
-    return _checked("arch", paths, ARCH_RULES, echo)
 
 
 def graph_as_json(graph: CallGraph, granularity: str = "module") -> dict:
@@ -245,40 +151,6 @@ def arch_effects(paths: Sequence[str] = DEFAULT_PATHS,
     return LINT_EXIT_CLEAN
 
 
-@internal_errors("arch")
-def arch_snapshot(paths: Sequence[str] = DEFAULT_PATHS,
-                  output: str = ARCH_SNAPSHOT,
-                  policy_path: str = DEFAULT_POLICY,
-                  echo: Echo = print) -> int:
-    payload = snapshot_payload(
-        load_program(paths, load_policy(policy_path)).effects)
-    write_snapshot(payload, output)
-    echo(f"wrote effect snapshot for {len(payload['functions'])} "
-         f"function(s) to {output}")
-    return LINT_EXIT_CLEAN
-
-
-@internal_errors("arch")
-def arch_diff(paths: Sequence[str] = DEFAULT_PATHS,
-              against: str = ARCH_SNAPSHOT,
-              policy_path: str = DEFAULT_POLICY,
-              echo: Echo = print) -> int:
-    """Diff current effects vs the committed snapshot.
-
-    Exit 1 when any function *gained* an effect (review required; rerun
-    ``repro arch snapshot`` after accepting).  Removed effects are
-    reported but do not fail.
-    """
-    payload = snapshot_payload(
-        load_program(paths, load_policy(policy_path)).effects)
-    return _diff(payload, against, echo, new="NEW EFFECT",
-                 noun="new effect(s)",
-                 review="review the chain(s) with `repro arch effects` "
-                        "and refresh the snapshot with `repro arch "
-                        "snapshot`",
-                 unchanged="effects unchanged")
-
-
 # -- repro races -------------------------------------------------------------
 def _policy_issues(analysis: ConcurrencyAnalysis) -> list[str]:
     """Policy names that do not resolve against the analyzed tree.
@@ -305,20 +177,22 @@ def _policy_issues(analysis: ConcurrencyAnalysis) -> list[str]:
 def races_check(paths: Sequence[str] = DEFAULT_PATHS,
                 echo: Echo = print) -> int:
     """Run the concurrency rules only; lint exit-code contract."""
-    if Path(DEFAULT_POLICY).is_file():
-        issues = _policy_issues(load_program(paths).concurrency)
-        for name in issues:
-            echo(f"races: [concurrency] policy name {name!r} does not "
-                 f"resolve in the analyzed tree (renamed or removed?)")
-        if issues:
-            return LINT_EXIT_FINDINGS
-    return _checked("races", paths, RACE_RULES, echo)
+    if not Path(DEFAULT_POLICY).is_file():
+        echo(f"races: no {DEFAULT_POLICY} in the working directory")
+        return LINT_EXIT_INTERNAL
+    issues = _policy_issues(load_program(paths).concurrency)
+    for name in issues:
+        echo(f"races: [concurrency] policy name {name!r} does not "
+             f"resolve in the analyzed tree (renamed or removed?)")
+    if issues:
+        return LINT_EXIT_FINDINGS
+    return run_lint(list(paths), select=list(RACE_RULES), echo=echo)
 
 
 @internal_errors("races")
 def races_show(paths: Sequence[str] = DEFAULT_PATHS,
                echo: Echo = print) -> int:
-    """Print thread contexts, locks, field verdicts and lock order."""
+    """Print thread contexts, locks and field verdicts."""
     analysis = load_program(paths).concurrency
     echo(f"thread contexts ({len(analysis.contexts)}):")
     for name in sorted(analysis.contexts):
@@ -341,50 +215,4 @@ def races_show(paths: Sequence[str] = DEFAULT_PATHS,
         elif v.get("guard"):
             detail = f" (guarded-by: {v['guard']} -- {v.get('reason', '')})"
         echo(f"  {key}: {v['verdict']}{detail}")
-    echo(f"lock-order edges ({len(analysis.order_edges)}):")
-    for (a, b), site in sorted(analysis.order_edges.items()):
-        echo(f"  {a} -> {b}  ({site.path}:{site.lineno})")
-    for scc in analysis.order_cycles:
-        echo(f"  CYCLE: {' <-> '.join(scc)}")
     return LINT_EXIT_CLEAN
-
-
-def races_report(paths: Sequence[str] = DEFAULT_PATHS,
-                 echo: Echo = print) -> int:
-    """Emit the full machine-readable state as JSON (for CI artifacts)."""
-    try:
-        payload = load_program(paths).concurrency.snapshot_payload()
-    except ReproError as exc:
-        echo(json.dumps({"error": str(exc)}))
-        return LINT_EXIT_INTERNAL
-    echo(json.dumps(_document(payload), indent=2, sort_keys=True))
-    return LINT_EXIT_CLEAN
-
-
-@internal_errors("races")
-def races_snapshot(paths: Sequence[str] = DEFAULT_PATHS,
-                   output: str = RACES_SNAPSHOT,
-                   echo: Echo = print) -> int:
-    payload = load_program(paths).concurrency.snapshot_payload()
-    write_snapshot(payload, output)
-    echo(f"wrote concurrency snapshot ({len(payload['fields'])} field(s), "
-         f"{len(payload['contexts'])} context(s)) to {output}")
-    return LINT_EXIT_CLEAN
-
-
-@internal_errors("races")
-def races_diff(paths: Sequence[str] = DEFAULT_PATHS,
-               against: str = RACES_SNAPSHOT,
-               echo: Echo = print) -> int:
-    """Diff current concurrency state vs the committed snapshot.
-
-    Exit 1 when any field/edge/context line is *new* (review required;
-    rerun ``repro races snapshot`` after accepting).  Removed lines are
-    reported but do not fail.
-    """
-    payload = load_program(paths).concurrency.snapshot_payload()
-    return _diff(payload, against, echo, new="NEW",
-                 noun="new concurrency fact(s)",
-                 review="review with `repro races show` and refresh the "
-                        "snapshot with `repro races snapshot`",
-                 unchanged="concurrency state unchanged")

@@ -1,4 +1,4 @@
-"""Whole-program lockset concurrency verification: rules RPR014-016.
+"""Whole-program lockset concurrency verification: rules RPR014 and RPR016.
 
 The serve layer runs a scheduler thread mutating sessions while caller
 threads poll ``stats()`` and push frames through a ``Condition``-guarded
@@ -24,9 +24,6 @@ effect engine (and composing with it):
   accesses needs a non-empty common lockset, a ``[[lock]]`` ``guards``
   declaration, or an explicit ``# guarded-by: <target> -- <reason>``
   annotation; violations carry the full forcing chain for both sides.
-* **RPR015 lock-order discipline** — every acquisition while other
-  locks are (lexically or interprocedurally, via *may-hold*) held adds
-  an edge to the lock-order graph; cycles are potential deadlocks.
 * **RPR016 wait/blocking discipline** — an untimed ``Condition.wait``
   must sit in a predicate loop; blocking calls (``time.sleep``,
   ``*.join``, non-condition ``*.wait``) must not run under a lock; and
@@ -47,10 +44,16 @@ engine holds it) and ``unshared`` (never escapes its thread).  The
 reason is mandatory; a marker that does not parse is itself an RPR014
 finding.
 
-``repro races check|show|snapshot|diff`` drives this module (see
-:mod:`repro.analysis.commands`); the committed ``CONCURRENCY.json``
-snapshot is diffed in CI exactly like ``ARCH_EFFECTS.json``.  Thread
-reachability and both lock fixpoints run on the shared worklist solver
+There is no lock-order rule.  The serve engine's one nested pair
+(``ServeEngine._lock`` then ``InProcessTransport._cond``, taken through
+``drain_transport`` -> ``poll``) is stated as a comment on both
+classes.  The call graph leaves ``self.transport.poll()`` unresolved
+and ``transport._cond`` is no lock key, so a static order check stayed
+clean on a real AB/BA deadlock there.
+
+``repro races check|show`` drives this module (see
+:mod:`repro.analysis.commands`).  Thread reachability and the must-hold
+fixpoint run on the shared worklist solver
 (:func:`~repro.analysis.callgraph.solve_worklist`).
 """
 
@@ -123,7 +126,7 @@ LOCK_FORBIDDEN_EFFECTS = ("io", "process")
 #: Constructor-time writes never race: publication happens-before use.
 _SETUP_METHODS = ("__init__", "__post_init__", "__new__", "__set_name__")
 
-RACE_RULES = ("RPR014", "RPR015", "RPR016")
+RACE_RULES = ("RPR014", "RPR016")
 
 
 def _short(qname: str) -> str:
@@ -148,15 +151,6 @@ class Access:
     lineno: int
     held: frozenset  #: locks lexically held at the access
     setup: bool = False  #: inside ``__init__`` (pre-publication)
-
-
-@dataclass(frozen=True)
-class AcquireSite:
-    lock: str
-    held: frozenset  #: locks lexically held when acquiring
-    func: str
-    path: str
-    lineno: int
 
 
 @dataclass(frozen=True)
@@ -194,7 +188,6 @@ class FuncSummary:
 
     qname: str
     accesses: list[Access] = field(default_factory=list)
-    acquires: list[AcquireSite] = field(default_factory=list)
     waits: list[WaitSite] = field(default_factory=list)
     spawns: list[SpawnSite] = field(default_factory=list)
     #: (dotted, held, lineno) — lexically-detected blocking calls
@@ -238,7 +231,7 @@ class _ScanEnv:
 
 
 class ConcurrencyAnalysis:
-    """Locks, thread contexts, and lock fixpoints for a call graph."""
+    """Locks, thread contexts and the must-hold fixpoint for a call graph."""
 
     def __init__(self, graph: CallGraph, effects: EffectAnalysis,
                  policy: ArchPolicy | None = None):
@@ -255,22 +248,17 @@ class ConcurrencyAnalysis:
         self.contexts: dict[str, ThreadContext] = {}
         self.entry_issues: list[str] = []  #: unresolvable policy names
         self.must: dict[str, frozenset] = {}
-        self.may: dict[str, frozenset] = {}
         #: shared-state candidates: key -> participating accesses
         self.candidates: dict[str, list[Access]] = {}
         #: key -> verdict record (see :meth:`_classify_fields`)
         self.verdicts: dict[str, dict] = {}
-        #: (held-lock, acquired-lock) -> representative AcquireSite
-        self.order_edges: dict[tuple, AcquireSite] = {}
-        self.order_cycles: list[list] = []
 
         self._method_owner = self._build_method_owner()
         self._harvest_sync()
         self._summarize()
         self._build_contexts()
-        self._fixpoints()
+        self._must_hold()
         self._classify_fields()
-        self._order_graph()
 
     # -- setup ---------------------------------------------------------------
     def _build_method_owner(self) -> dict[str, str]:
@@ -416,9 +404,6 @@ class ConcurrencyAnalysis:
             if key is not None:
                 verb, lock = key
                 if verb == "acquire":
-                    env.out.acquires.append(AcquireSite(
-                        lock, frozenset(held), env.qname, env.path,
-                        stmt.lineno))
                     held.append(lock)
                     opened.append(lock)
                 elif lock in held:
@@ -459,9 +444,6 @@ class ConcurrencyAnalysis:
                 self._scan_value(item.context_expr, held, env, in_loop)
                 lock = self._lock_expr(item.context_expr, env)
                 if lock is not None:
-                    env.out.acquires.append(AcquireSite(
-                        lock, frozenset(list(held) + taken), env.qname,
-                        env.path, item.context_expr.lineno))
                     taken.append(lock)
             self._scan_block(node.body, held + taken, env, in_loop)
             return
@@ -722,15 +704,14 @@ class ConcurrencyAnalysis:
         solve_worklist(roots, visit)
         ctx.reach = set(ctx.parent)
 
-    # -- interprocedural lock fixpoints ---------------------------------------
-    def _fixpoints(self) -> None:
+    # -- interprocedural must-hold fixpoint -----------------------------------
+    def _must_hold(self) -> None:
         participating: set[str] = set()
         roots: set[str] = set()
         for ctx in self.contexts.values():
             participating |= ctx.reach
             roots.update(r for r in ctx.roots
                          if r in self.graph.functions)
-        self._participating = participating
         incoming: dict[str, list] = {}
         callees: dict[str, set] = {}
         for q in sorted(participating):
@@ -740,43 +721,24 @@ class ConcurrencyAnalysis:
                     callees.setdefault(q, set()).add(callee)
         inner = participating - roots
 
-        def solve(values: dict, transfer) -> None:
-            """Re-evaluate ``transfer`` until stable; a change re-queues
-            the function's callees (their incoming values moved)."""
-            def visit(q: str) -> set:
-                new = transfer(q)
-                if new == values[q]:
-                    return set()
-                values[q] = new
-                return callees.get(q, set()) & inner
-
-            solve_worklist(inner, visit)
-
-        # MustHeld: descending intersection; None is the ⊤ start value.
+        # Descending intersection; None is the ⊤ start value.  A change
+        # re-queues the function's callees (their incoming values moved).
         must: dict[str, frozenset | None] = {
             q: (frozenset() if q in roots else None) for q in participating}
 
-        def meet(q: str) -> frozenset | None:
+        def visit(q: str) -> set:
             vals = [must[caller] | held
                     for caller, held in incoming.get(q, ())
                     if must[caller] is not None]
-            return frozenset.intersection(*vals) if vals else must[q]
+            new = frozenset.intersection(*vals) if vals else must[q]
+            if new == must[q]:
+                return set()
+            must[q] = new
+            return callees.get(q, set()) & inner
 
-        solve(must, meet)
+        solve_worklist(inner, visit)
         self.must = {q: (m if m is not None else frozenset())
                      for q, m in must.items()}
-
-        # MayHeld: ascending union (lock-order edges need an upper bound).
-        may: dict[str, frozenset] = {q: frozenset() for q in participating}
-
-        def join(q: str) -> frozenset:
-            acc = may[q]
-            for caller, held in incoming.get(q, ()):
-                acc = acc | may[caller] | held
-            return acc
-
-        solve(may, join)
-        self.may = may
 
     def effective_locks(self, access: Access) -> frozenset:
         return self.must.get(access.func, frozenset()) | access.held
@@ -937,39 +899,6 @@ class ConcurrencyAnalysis:
                 return cand
         return candidates[0]
 
-    # -- RPR015: lock-order graph ---------------------------------------------
-    def _order_graph(self) -> None:
-        for q in sorted(self._participating):
-            base = self.may.get(q, frozenset())
-            for acq in self.summaries[q].acquires:
-                for h in sorted(base | acq.held):
-                    if h != acq.lock:
-                        self.order_edges.setdefault((h, acq.lock), acq)
-        # A lock on a cycle reaches itself; its cycle (strongly connected
-        # component) is every lock it reaches that reaches it back.
-        adj: dict[str, set] = {}
-        for (a, b) in self.order_edges:
-            adj.setdefault(a, set()).add(b)
-        reach = {lock: self._reachable(adj, lock) for lock in adj}
-        for lock in sorted(reach):
-            if lock not in reach[lock]:
-                continue
-            scc = sorted(w for w in reach[lock] if lock in reach.get(w, ()))
-            if scc not in self.order_cycles:
-                self.order_cycles.append(scc)
-
-    @staticmethod
-    def _reachable(adj: dict[str, set], start: str) -> set:
-        seen: set = set()
-
-        def visit(node: str) -> list:
-            new = sorted(adj.get(node, set()) - seen)
-            seen.update(new)
-            return new
-
-        solve_worklist([start], visit)
-        return seen
-
     # -- finding producers (consumed by the registered checkers) -------------
     def lockset_findings(self) -> Iterator[Finding]:
         for path, lineno, text in sorted(self.malformed):
@@ -981,24 +910,6 @@ class ConcurrencyAnalysis:
             finding = self.verdicts[key].get("finding")
             if finding is not None:
                 yield finding
-
-    def order_findings(self) -> Iterator[Finding]:
-        for scc in self.order_cycles:
-            edges = sorted((a, b) for (a, b) in self.order_edges
-                           if a in scc and b in scc)
-            sites = "; ".join(
-                f"{_short(a)} then {_short(b)} at "
-                f"{self.order_edges[(a, b)].path}:"
-                f"{self.order_edges[(a, b)].lineno}"
-                for a, b in edges)
-            first = self.order_edges[edges[0]]
-            yield Finding(
-                path=first.path, line=first.lineno, col=1,
-                rule_id="RPR015",
-                message=(f"lock-order cycle among "
-                         f"{_fmt_locks(frozenset(scc))}: {sites} — "
-                         f"threads taking these locks in different "
-                         f"orders can deadlock"))
 
     def wait_findings(self) -> Iterator[Finding]:
         lock_forbid = {lp.name: tuple(lp.forbid)
@@ -1064,41 +975,10 @@ class ConcurrencyAnalysis:
                              f"effectful work must not run while these "
                              f"locks are held"))
 
-    # -- snapshot -------------------------------------------------------------
-    def snapshot_payload(self) -> dict:
-        fields = {}
-        for key, verdict in sorted(self.verdicts.items()):
-            entry = {"verdict": verdict["verdict"]}
-            if verdict.get("locks"):
-                entry["locks"] = verdict["locks"]
-            if verdict.get("guard"):
-                entry["guard"] = verdict["guard"]
-            if verdict.get("declared"):
-                entry["declared"] = verdict["declared"]
-            fields[key] = entry
-        return {
-            "root": self.graph.root_package,
-            "contexts": {
-                ctx.name: {
-                    "roots": sorted(ctx.roots),
-                    "multi": ctx.multi,
-                    "isolated": ctx.isolated,
-                    "reachable": len(ctx.reach),
-                }
-                for ctx in sorted(self.contexts.values(),
-                                  key=lambda c: c.name)
-            },
-            "locks": {k: v for k, v in sorted(self.sync_kinds.items())
-                      if self._is_lock(k)},
-            "fields": fields,
-            "lock_order": sorted(f"{a} -> {b}"
-                                 for (a, b) in self.order_edges),
-        }
-
 
 # -- the registered checkers --------------------------------------------------
 class _RaceChecker(ProjectChecker):
-    """Base of RPR014-016: runs on any file set, with or without a
+    """Base of RPR014/016: runs on any file set, with or without a
     policy (policy names that do not resolve in a fixture tree are
     inert; ``repro races check`` validates them on the real tree)."""
 
@@ -1121,18 +1001,6 @@ class SharedStateLocksetChecker(_RaceChecker):
 
     def findings(self, conc: ConcurrencyAnalysis) -> Iterator[Finding]:
         return conc.lockset_findings()
-
-
-@register_checker
-class LockOrderChecker(_RaceChecker):
-    """RPR015: the lock-acquisition graph must stay acyclic."""
-
-    rule_id = "RPR015"
-    title = ("lock-order-discipline: nested acquisitions must form a DAG "
-             "(cycles are potential deadlocks)")
-
-    def findings(self, conc: ConcurrencyAnalysis) -> Iterator[Finding]:
-        return conc.order_findings()
 
 
 @register_checker

@@ -347,11 +347,3 @@ def _store_roots(stmt: ast.AST) -> list[str]:
                 roots.append(node.id)
     return roots
 
-
-# -- snapshot ---------------------------------------------------------------
-def snapshot_payload(analysis: EffectAnalysis) -> dict:
-    """JSON-stable snapshot of every function's effect set."""
-    return {
-        "root": analysis.graph.root_package,
-        "functions": analysis.effect_sets(),
-    }

@@ -36,7 +36,7 @@ def internal_errors(tool: str):
     """Decorator giving a command the exit-2 half of the contract.
 
     An analyzer failure — :class:`~repro.errors.ReproError` (bad path,
-    malformed policy/snapshot) or any unexpected exception —
+    malformed policy) or any unexpected exception —
     is reported as ``<tool>: internal error: ...`` and exits
     :data:`LINT_EXIT_INTERNAL`; it never masquerades as a findings exit.
     """

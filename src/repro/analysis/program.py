@@ -1,8 +1,9 @@
 """The program model: one parse, call graph and fixpoint per file set.
 
-Every whole-program consumer — the architecture rules RPR008-010, the kernel-contract check RPR012, the lockset rules
-RPR014-016 and the ``repro arch``/``races``/``graph check`` commands —
-works from the same :class:`Program`:
+Every whole-program consumer — the architecture rules RPR008-010, the
+kernel-contract check RPR012, the concurrency rules RPR014/016 and the
+``repro arch``/``races``/``graph check`` commands — works from the same
+:class:`Program`:
 
 * the parsed :class:`~repro.analysis.framework.ModuleContext` set;
 * the governing ``ARCHITECTURE.toml`` policy (``None`` without one);

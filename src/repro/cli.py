@@ -15,13 +15,12 @@ Subcommands:
   against the kernels' ``@contract``s (RPR012; same 0/1/2 exit contract
   as ``lint``), ``show`` prints a graph's schedule and edges.
 * ``arch``     — architecture policy tooling (``ARCHITECTURE.toml``):
-  ``show`` the layer diagram, ``check`` rules RPR008-010, ``graph``
-  the call graph as JSON/DOT, ``effects``/``snapshot``/``diff`` the
-  whole-program effect inference.
-* ``races``    — static concurrency verification (rules RPR014-016):
-  ``check`` lockset races / lock order / wait discipline, ``show`` the
-  thread contexts and per-field verdicts, ``report`` JSON for CI,
-  ``snapshot``/``diff`` the committed ``CONCURRENCY.json``.
+  ``show`` the layer diagram, ``graph`` the call graph as JSON/DOT,
+  ``effects`` the whole-program effect inference (``lint`` runs the
+  rules RPR008-010).
+* ``races``    — static concurrency verification (rules RPR014/016):
+  ``check`` lockset races / wait discipline plus the ``[concurrency]``
+  policy names, ``show`` the thread contexts and per-field verdicts.
 
 ``run`` and ``dse`` accept ``--trace PATH`` to capture a per-kernel
 telemetry trace of the run: ``.jsonl`` writes the raw event log,
@@ -389,8 +388,6 @@ def _cmd_arch(args) -> int:
     command = args.arch_command or "show"
     if command == "show":
         return commands.arch_show(policy_path=args.policy)
-    if command == "check":
-        return commands.arch_check(paths)
     if command == "graph":
         return commands.arch_graph(paths, output_format=args.format,
                                    granularity=args.granularity,
@@ -398,12 +395,6 @@ def _cmd_arch(args) -> int:
     if command == "effects":
         return commands.arch_effects(paths, prefix=args.prefix,
                                      policy_path=args.policy)
-    if command == "snapshot":
-        return commands.arch_snapshot(paths, output=args.output,
-                                      policy_path=args.policy)
-    if command == "diff":
-        return commands.arch_diff(paths, against=args.against,
-                                  policy_path=args.policy)
     raise AssertionError(f"unhandled arch command {command!r}")
 
 
@@ -416,12 +407,6 @@ def _cmd_races(args) -> int:
         return commands.races_check(paths)
     if command == "show":
         return commands.races_show(paths)
-    if command == "report":
-        return commands.races_report(paths)
-    if command == "snapshot":
-        return commands.races_snapshot(paths, output=args.output)
-    if command == "diff":
-        return commands.races_diff(paths, against=args.against)
     raise AssertionError(f"unhandled races command {command!r}")
 
 
@@ -572,10 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_arch_show = arch_sub.add_parser(
         "show", help="print the layer diagram with effect budgets")
-    p_arch_check = arch_sub.add_parser(
-        "check", help="run rules RPR008-010 (exit: 0 clean, 1 findings, "
-                      "2 internal error)")
-    p_arch_check.add_argument("paths", **arch_common)
     p_arch_graph = arch_sub.add_parser(
         "graph", help="export the call graph")
     p_arch_graph.add_argument("paths", **arch_common)
@@ -590,51 +571,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_arch_eff.add_argument("--prefix", default="",
                             help="only functions whose qualified name "
                                  "starts with this prefix")
-    p_arch_snap = arch_sub.add_parser(
-        "snapshot", help="write the committed effect snapshot")
-    p_arch_snap.add_argument("paths", **arch_common)
-    p_arch_snap.add_argument("--output", default="ARCH_EFFECTS.json")
-    p_arch_diff = arch_sub.add_parser(
-        "diff", help="diff current effects against the snapshot "
-                     "(exit 1 on new effects)")
-    p_arch_diff.add_argument("paths", **arch_common)
-    p_arch_diff.add_argument("--against", default="ARCH_EFFECTS.json")
-    for sp in (p_arch, p_arch_show, p_arch_check, p_arch_graph, p_arch_eff,
-               p_arch_snap, p_arch_diff):
+    for sp in (p_arch, p_arch_show, p_arch_graph, p_arch_eff):
         sp.add_argument("--policy", default="ARCHITECTURE.toml",
                         help="architecture policy file")
         sp.set_defaults(func=_cmd_arch)
     p_arch.set_defaults(paths=[])
 
     p_races = sub.add_parser(
-        "races", help="static concurrency verification (rules RPR014-016): "
-                      "lockset races, lock order, wait discipline"
+        "races", help="static concurrency verification (rules RPR014/016): "
+                      "lockset races, wait discipline"
     )
     races_sub = p_races.add_subparsers(dest="races_command")
     races_common = {"nargs": "*", "default": [],
                     "help": "files or directories (default: src/repro)"}
     p_races_check = races_sub.add_parser(
-        "check", help="run RPR014/15/16 and validate the [concurrency] "
+        "check", help="run RPR014/016 and validate the [concurrency] "
                       "policy names (exit: 0 clean, 1 findings, 2 error)")
     p_races_check.add_argument("paths", **races_common)
     p_races_show = races_sub.add_parser(
-        "show", help="print thread contexts, locks, field verdicts and "
-                     "the lock-order graph")
+        "show", help="print thread contexts, locks and field verdicts")
     p_races_show.add_argument("paths", **races_common)
-    p_races_report = races_sub.add_parser(
-        "report", help="emit the full concurrency state as JSON")
-    p_races_report.add_argument("paths", **races_common)
-    p_races_snap = races_sub.add_parser(
-        "snapshot", help="write the committed concurrency snapshot")
-    p_races_snap.add_argument("paths", **races_common)
-    p_races_snap.add_argument("--output", default="CONCURRENCY.json")
-    p_races_diff = races_sub.add_parser(
-        "diff", help="compare current concurrency state against the "
-                     "snapshot (exit 1 on new facts)")
-    p_races_diff.add_argument("paths", **races_common)
-    p_races_diff.add_argument("--against", default="CONCURRENCY.json")
-    for sp in (p_races, p_races_check, p_races_show, p_races_report,
-               p_races_snap, p_races_diff):
+    for sp in (p_races, p_races_check, p_races_show):
         sp.set_defaults(func=_cmd_races)
     p_races.set_defaults(paths=[])
 
@@ -660,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="repo-specific static analysis (rules RPR001-003, "
-                     "RPR005-010 and RPR014-016)"
+                     "RPR005-010, RPR014 and RPR016)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "

@@ -47,15 +47,16 @@ NONPOS_FLOOR = np.float32(2.0**-60)
 #: allocation).
 _REFRESH_CHUNK = 128
 
-#: Bits reserved per packed block coordinate axis.
-_PACK_BITS = 20
-_PACK_MASK = (1 << _PACK_BITS) - 1
+#: Bits reserved per packed block coordinate axis: a key is
+#: ``x << 2*PACK_BITS | y << PACK_BITS | z``.
+PACK_BITS = 20
+_PACK_MASK = (1 << PACK_BITS) - 1
 
 
 def pack_block_coords(coords: np.ndarray) -> np.ndarray:
     """Pack non-negative ``(N, 3)`` block coordinates into int64 keys."""
     c = np.asarray(coords, dtype=np.int64)
-    return (c[..., 0] << (2 * _PACK_BITS)) | (c[..., 1] << _PACK_BITS) \
+    return (c[..., 0] << (2 * PACK_BITS)) | (c[..., 1] << PACK_BITS) \
         | c[..., 2]
 
 
@@ -63,8 +64,8 @@ def unpack_block_coords(keys: np.ndarray) -> np.ndarray:
     """Inverse of :func:`pack_block_coords`, ``(N, 3)`` int32."""
     k = np.asarray(keys, dtype=np.int64)
     out = np.empty(k.shape + (3,), dtype=np.int32)  # effect-ok: key-count sized
-    out[..., 0] = (k >> (2 * _PACK_BITS)) & _PACK_MASK
-    out[..., 1] = (k >> _PACK_BITS) & _PACK_MASK
+    out[..., 0] = (k >> (2 * PACK_BITS)) & _PACK_MASK
+    out[..., 1] = (k >> PACK_BITS) & _PACK_MASK
     out[..., 2] = k & _PACK_MASK
     return out
 
@@ -93,7 +94,7 @@ class SparseTSDFVolume:
         self.resolution = int(resolution)
         self.size = float(size)
         self.blocks_per_side = -(-self.resolution // BLOCK)
-        if self.blocks_per_side >= (1 << _PACK_BITS):
+        if self.blocks_per_side >= (1 << PACK_BITS):
             raise ConfigurationError(
                 f"volume resolution {resolution} overflows the packed "
                 f"block-coordinate width"

@@ -38,6 +38,7 @@ from ..kfusion.memory import (
 from ..kfusion.sparse import (
     BLOCK,
     BLOCK_VOXELS,
+    PACK_BITS,
     SparseTSDFVolume,
     unpack_block_coords,
 )
@@ -124,16 +125,15 @@ def _allocate_band(
     lo = np.clip((vox - rad[:, None]) >> 3, 0, nb - 1)  # effect-ok: batch
     hi = np.clip((vox + rad[:, None]) >> 3, 0, nb - 1)  # effect-ok: batch
     keys = ws.buffer("int_band_keys", (8, px * s), dtype=np.int64)
-    shift = 20
     for c in range(8):
         cx = hi[:, 0] if c & 1 else lo[:, 0]
         cy = hi[:, 1] if c & 2 else lo[:, 1]
         cz = hi[:, 2] if c & 4 else lo[:, 2]
         k = keys[c]
         np.copyto(k, cx, casting="unsafe")
-        k <<= shift
+        k <<= PACK_BITS
         k |= cy.astype(np.int64)
-        k <<= shift
+        k <<= PACK_BITS
         k |= cz.astype(np.int64)
     wanted = np.unique(keys[:, ok])  # effect-ok: batch-sized
     volume.ensure_blocks(unpack_block_coords(wanted))  # effect-ok: new-block sized

@@ -226,6 +226,9 @@ class ServeEngine:
         creation order — the deterministic multiplexing the
         concurrent-vs-serial equivalence test pins down.
         """
+        # Lock order: _lock first, then the transport's _cond (taken in
+        # drain_transport -> transport.poll).  No transport method may call
+        # back into the engine while holding _cond; no lint rule checks it.
         with self._lock, use_tracer(self._tracer):
             self.drain_transport()
             processed = 0

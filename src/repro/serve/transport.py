@@ -115,6 +115,9 @@ class InProcessTransport(Transport):
 
     def __init__(self):
         self._messages: deque = deque()
+        # Lock order: ServeEngine.step holds the engine's _lock while it
+        # polls here, so the engine lock is always taken first.  No method
+        # of this class may call back into the engine while holding _cond.
         self._cond = threading.Condition()
         self._closed = False
 

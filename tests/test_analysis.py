@@ -51,7 +51,7 @@ class TestFramework:
         assert set(catalogue) == {
             "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
             "RPR007", "RPR008", "RPR009", "RPR010",
-            "RPR014", "RPR015", "RPR016",
+            "RPR014", "RPR016",
         }
         assert all(title for title in catalogue.values())
 
@@ -175,6 +175,21 @@ class TestRngDiscipline:
             "g = np.random.Generator(np.random.PCG64(1))\n"
         )
         assert analyze_source(src, select=["RPR002"]) == []
+
+    def test_flags_unseeded_generators(self):
+        src = (
+            "import numpy as np\n"
+            "from numpy.random import SeedSequence\n"
+            "_RNG = np.random.default_rng()\n"
+            "def track(x):\n"
+            "    return x + _RNG.normal()\n"
+            "a = np.random.default_rng(None)\n"
+            "b = np.random.Generator(np.random.PCG64(seed=None))\n"
+            "c = SeedSequence()\n"
+        )
+        findings = analyze_source(src, select=["RPR002"])
+        assert [f.line for f in findings] == [3, 6, 7, 8]
+        assert "default_rng() without a seed" in findings[0].message
 
     def test_injected_generator_draws_allowed(self):
         src = "def f(rng):\n    return rng.normal(size=3)\n"

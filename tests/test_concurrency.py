@@ -1,10 +1,11 @@
 """Tests for the static concurrency verifier (S23).
 
-Covers the three race rules over scratch projects (true positive AND
-false-positive guard for each), the ``# guarded-by:`` waiver grammar,
-the module-scope-lock arm of RPR006, the content-addressed AST memo,
-and the live-tree regression: deleting one ``with self._lock:`` from
-``ServeEngine.stats`` must turn ``repro races check`` red.
+Covers the two race rules (RPR014, RPR016) over scratch projects (true
+positive AND false-positive guard for each), the ``# guarded-by:``
+waiver grammar, the module-scope-lock arm of RPR006, the
+content-addressed AST memo, and the live-tree regression: deleting one
+``with self._lock:`` from ``ServeEngine.stats`` must turn ``repro
+races check`` red.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.analysis.commands import (
-    races_check,
-    races_diff,
-    races_show,
-    races_snapshot,
-)
+from repro.analysis.commands import races_check, races_show
 from repro.analysis.framework import analyze_paths, analyze_source, parse_cached
 from repro.analysis.lint import (
     LINT_EXIT_CLEAN,
@@ -185,49 +181,6 @@ class TestGuardedByGrammar:
         findings = conc_findings(monkeypatch, root, ["RPR014"])
         assert [f.rule_id for f in findings] == ["RPR014"]
         assert "no common lockset" in findings[0].message
-
-
-# -- RPR015: lock-order cycles ------------------------------------------------
-
-CYCLIC_PAIR = """\
-    import threading
-
-    class Pair:
-        def __init__(self):
-            self._a = threading.Lock()
-            self._b = threading.Lock()
-
-        def start(self):
-            threading.Thread(target=self.ab).start()
-            threading.Thread(target=self.ba).start()
-
-        def ab(self):
-            with self._a:
-                with self._b:
-                    pass
-
-        def ba(self):
-            with self._b:
-                with self._a:
-                    pass
-"""
-
-
-class TestLockOrder:
-    def test_two_lock_cycle_flagged(self, tmp_path, monkeypatch):
-        root = write_proj(tmp_path, {"p.py": CYCLIC_PAIR})
-        findings = conc_findings(monkeypatch, root, ["RPR015"])
-        assert [f.rule_id for f in findings] == ["RPR015"]
-        msg = findings[0].message
-        assert "lock-order cycle" in msg
-        assert "Pair._a" in msg and "Pair._b" in msg
-
-    def test_consistent_order_clean(self, tmp_path, monkeypatch):
-        src = CYCLIC_PAIR.replace(
-            "            with self._b:\n                with self._a:",
-            "            with self._a:\n                with self._b:")
-        root = write_proj(tmp_path, {"p.py": src})
-        assert conc_findings(monkeypatch, root, ["RPR015"]) == []
 
 
 # -- RPR016: wait and blocking discipline -------------------------------------
@@ -436,46 +389,6 @@ class TestRacesCommands:
         assert "thread:Worker._run" in text
         assert "repro.w.Worker._lock (lock)" in text
         assert "repro.w.Worker.count: guarded" in text
-
-    def test_snapshot_diff_roundtrip_and_new_fact_fails(self, tmp_path,
-                                                        monkeypatch):
-        root = write_proj(tmp_path, {"w.py": LOCKED_WORKER},
-                          policy=BASE_POLICY)
-        monkeypatch.chdir(root)
-        out = []
-        assert races_snapshot(["repro"], output="snap.json",
-                              echo=out.append) == LINT_EXIT_CLEAN
-        assert races_diff(["repro"], against="snap.json",
-                          echo=out.append) == LINT_EXIT_CLEAN
-        # a new shared field (even a guarded one) is a new concurrency fact
-        (root / "repro" / "w.py").write_text(
-            (root / "repro" / "w.py").read_text().replace(
-                "        self.count = 0",
-                "        self.count = 0\n        self.other = 0")
-            .replace("            self.count += 1",
-                     "            self.count += 1\n"
-                     "            self.other += 1")
-            .replace("            return self.count",
-                     "            return self.count + self.other"))
-        out = []
-        assert races_diff(["repro"], against="snap.json",
-                          echo=out.append) == LINT_EXIT_FINDINGS
-        assert any("NEW" in line and "other" in line for line in out)
-
-
-    def test_diff_rejects_wrong_snapshot_version(self, tmp_path,
-                                                 monkeypatch):
-        root = write_proj(tmp_path, {"w.py": LOCKED_WORKER},
-                          policy=BASE_POLICY)
-        monkeypatch.chdir(root)
-        out = []
-        assert races_snapshot(["repro"], output="snap.json",
-                              echo=out.append) == LINT_EXIT_CLEAN
-        snap = root / "snap.json"
-        snap.write_text(snap.read_text().replace('"version": 1',
-                                                 '"version": 99'))
-        assert races_diff(["repro"], against="snap.json",
-                          echo=out.append) == LINT_EXIT_INTERNAL
 
 
 # -- live-tree regression -----------------------------------------------------

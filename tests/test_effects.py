@@ -3,10 +3,9 @@
 Covers the call graph (repro.analysis.callgraph), the intrinsic effect
 seeds and transitive fixpoint (repro.analysis.effects), the policy rules
 RPR008/RPR009/RPR010 (repro.analysis.policy) with true-positive /
-false-positive guard pairs, the ``repro arch`` commands, the effect
-snapshot diff and the ``repro lint`` exit-code contract — plus the
-check that the repo itself is clean under the committed
-ARCHITECTURE.toml.
+false-positive guard pairs, the ``repro arch`` commands and the
+``repro lint`` exit-code contract — plus the check that the repo itself
+is clean under the committed ARCHITECTURE.toml.
 """
 
 import json
@@ -15,18 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.callgraph import build_callgraph, module_name_for
-from repro.analysis.commands import (
-    arch_check,
-    arch_diff,
-    arch_graph,
-    arch_show,
-    arch_snapshot,
-    diff_snapshots,
-    graph_as_json,
-    load_snapshot,
-    write_snapshot,
-)
-from repro.analysis.effects import EffectAnalysis, snapshot_payload
+from repro.analysis.commands import arch_graph, arch_show, graph_as_json
+from repro.analysis.effects import EffectAnalysis
 from repro.analysis.framework import ModuleContext, analyze_paths
 from repro.analysis.lint import (
     LINT_EXIT_CLEAN,
@@ -377,56 +366,6 @@ class TestWorkspaceAllocDiscipline:
         assert "repro.top.helper" in findings[0].message
 
 
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        analysis = EffectAnalysis(graph_of(
-            ("m.py", "import time\ndef f():\n    return time.time()\n")))
-        path = tmp_path / "ARCH_EFFECTS.json"
-        write_snapshot(snapshot_payload(analysis), str(path))
-        assert load_snapshot(str(path)) == snapshot_payload(analysis)
-
-    def test_diff_reports_added_and_removed(self):
-        old = {"version": 1, "root": "repro",
-               "functions": {"repro.m.f": ["io"]}}
-        new = {"version": 1, "root": "repro",
-               "functions": {"repro.m.f": ["io", "time"],
-                             "repro.m.g": ["rng"]}}
-        added, removed = diff_snapshots(old, new)
-        assert any("repro.m.f" in line and "time" in line
-                   for line in added)
-        assert any("repro.m.g" in line and "rng" in line
-                   for line in added)
-        assert removed == []
-        added, removed = diff_snapshots(new, old)
-        assert added == [] and len(removed) == 2
-
-    def test_arch_diff_fails_on_new_effect(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, BASE_POLICY, {
-            "top.py": "def g():\n    return 1\n",
-        })
-        monkeypatch.chdir(root)
-        out = []
-        assert arch_snapshot(["repro"], output="snap.json",
-                             echo=out.append) == LINT_EXIT_CLEAN
-        assert arch_diff(["repro"], against="snap.json",
-                         echo=out.append) == LINT_EXIT_CLEAN
-        # the code change introduces a new effect: diff must fail
-        (root / "repro" / "top.py").write_text(
-            "import time\ndef g():\n    return time.time()\n")
-        out = []
-        assert arch_diff(["repro"], against="snap.json",
-                         echo=out.append) == LINT_EXIT_FINDINGS
-        assert any("NEW EFFECT" in line and "repro.top.g" in line
-                   for line in out)
-
-    def test_missing_snapshot_is_internal_error(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, BASE_POLICY, {})
-        monkeypatch.chdir(root)
-        out = []
-        assert arch_diff(["repro"], against="no/such.json",
-                         echo=out.append) == LINT_EXIT_INTERNAL
-
-
 class TestLintExitContract:
     def test_clean_exits_zero(self, tmp_path):
         f = tmp_path / "ok.py"
@@ -454,20 +393,6 @@ class TestArchCommands:
         text = "\n".join(out)
         assert "kernels" in text and "top" in text
         assert "arena-hot" in text
-
-    def test_check_clean_tree(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, BASE_POLICY, {
-            "kern.py": "def f():\n    return 1\n",
-        })
-        monkeypatch.chdir(root)
-        assert arch_check(["repro"],
-                          echo=lambda s: None) == LINT_EXIT_CLEAN
-
-    def test_check_without_policy_is_internal_error(
-            self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        out = []
-        assert arch_check(["."], echo=out.append) == LINT_EXIT_INTERNAL
 
     def test_graph_json_and_dot(self, tmp_path, monkeypatch):
         root = write_tree(tmp_path, BASE_POLICY, {
@@ -545,8 +470,3 @@ class TestRepoIsClean:
     def test_arch_rules_clean_on_repo(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         assert analyze_paths([str(REPO_SRC)], select=ARCH_RULES) == []
-
-    def test_committed_snapshot_is_current(self, monkeypatch):
-        monkeypatch.chdir(REPO_ROOT)
-        out = []
-        assert arch_diff(["src/repro"], echo=out.append) == LINT_EXIT_CLEAN

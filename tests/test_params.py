@@ -57,14 +57,6 @@ class TestSpecs:
         assert DEFAULTS["mu_distance"] == pytest.approx(0.1)
         assert DEFAULTS["integration_rate"] == 2
 
-    def test_specs_cover_all_defaults(self):
-        names = {s.name for s in parameter_specs()}
-        assert names == set(DEFAULTS)
-
-    def test_specs_defaults_agree(self):
-        for s in parameter_specs():
-            assert s.default == DEFAULTS[s.name]
-
     def test_consumer_fields_are_the_specs(self):
         assert [f.name for f in fields(KFusionParams)] == SPEC_NAMES
         assert {f.name: f.default for f in fields(KFusionParams)} == DEFAULTS
