@@ -61,7 +61,8 @@ class PipelineInstance:
             if backend is not None:
                 attrs["backend"] = backend
             workload = ctx.workload if node.spec.workload_timed else None
-            with timed_stage(workload, node.name, **attrs):
+            with timed_stage(workload, node.name, **attrs) as timed:
+                ctx.span_attrs = timed.attrs
                 try:
                     outputs = node.spec.run(ctx, inputs)
                 except StageExecutionError:

@@ -24,7 +24,7 @@ of unknown names fail loudly with the registered inventory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..contracts import EFFECTS, ContractError, parse_port_contract
@@ -81,6 +81,9 @@ class StageContext:
         workspace: the run's :class:`~repro.perf.FrameWorkspace` arena
             (``None`` for workspace-less backends).
         params: the algorithm's parameter object.
+        span_attrs: attributes of the running stage's tracer span; the
+            instance points it at each stage's span before the body
+            runs, so a body can record what it did (``voxels_updated``).
     """
 
     frame: Any = None
@@ -89,6 +92,7 @@ class StageContext:
     backend: Any = None
     workspace: Any = None
     params: Any = None
+    span_attrs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,9 @@ def _run_integrate(ctx, inputs):
     should_integrate = (
         tracked or sys.frames_processed < BOOTSTRAP_FRAMES
     ) and (ctx.frame.index % params.integration_rate == 0 or first_frame)
+    updated = 0
     if should_integrate:
-        ctx.backend.integrate(
+        updated = ctx.backend.integrate(
             sys.volume,
             depth,
             sys.compute_camera,
@@ -151,6 +152,7 @@ def _run_integrate(ctx, inputs):
             ctx.workspace,
         )
         ctx.workload.add(kernels.integrate(params.volume_resolution))
+    ctx.span_attrs["voxels_updated"] = updated
     return {"volume": sys.volume}
 
 

@@ -65,7 +65,9 @@ def integrate(
     flat_w = volume.weight.reshape(-1)
     idx = np.flatnonzero(updatable)
     w_old = flat_w[idx]
-    w_new = np.minimum(w_old + 1.0, MAX_WEIGHT)
+    w_new = w_old + 1.0
+    # KinectFusion's running average: divide by the uncapped count,
+    # then cap the weight, so a saturated voxel keeps a convex mix.
     flat_t[idx] = (flat_t[idx] * w_old + tsdf_new[idx]) / w_new
-    flat_w[idx] = w_new
+    flat_w[idx] = np.minimum(w_new, MAX_WEIGHT)
     return int(idx.size)

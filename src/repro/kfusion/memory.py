@@ -136,15 +136,19 @@ def stage_workspace_bytes(params: KFusionParams, width: int, height: int,
         nb = -(-r // SPARSE_BLOCK)
         nbv = nb * SPARSE_BLOCK
         samples = sparse_band_samples(params.mu_distance, voxel)
-        chunk_vox = sparse_chunk_blocks(nb) * SPARSE_BLOCK**3
         # Allocation ladder: per sample-point depth (f32) + camera/volume
         # points (2x f32x3) + voxel coords (i32x3) + validity (bool) +
-        # dilation radius (i32) + 8 block keys (i64) = 109 bytes per
-        # pixel-sample.
-        integrate = 109 * scratch_px * samples
-        # Chunked block update: 5 f32 + 4 i32 + 1 i64 + 2 bool fields
-        # per voxel = 46 bytes, over one chunk of blocks.
-        integrate += 46 * chunk_vox
+        # dilation radius (i32) = 45 bytes per pixel-sample, plus one
+        # bool per block of the band-marking table.
+        integrate = 45 * scratch_px * samples + nb**3
+        # Chunked block update: 5 f32 + 1 i32 + 2 bool fields per voxel
+        # = 26 bytes; per block, the 8 voxel indices (i64), inside-grid
+        # flags (bool) and gathered rotated coordinates (f32) on each of
+        # 3 axes, and one 8x8 f32 x-y plane = 568 bytes.
+        chunk = sparse_chunk_blocks(nb)
+        integrate += 26 * chunk * SPARSE_BLOCK**3
+        integrate += (3 * (8 + 1 + BYTES_F32) * SPARSE_BLOCK
+                      + BYTES_F32 * SPARSE_BLOCK**2) * chunk
         # Rotated per-axis coordinate vectors over the padded block grid.
         integrate += BYTES_F32 * 10 * nbv
         # Output vertex/normal maps (2x f32x3) + ray directions (f32x3)

@@ -47,29 +47,6 @@ NONPOS_FLOOR = np.float32(2.0**-60)
 #: allocation).
 _REFRESH_CHUNK = 128
 
-#: Bits reserved per packed block coordinate axis: a key is
-#: ``x << 2*PACK_BITS | y << PACK_BITS | z``.
-PACK_BITS = 20
-_PACK_MASK = (1 << PACK_BITS) - 1
-
-
-def pack_block_coords(coords: np.ndarray) -> np.ndarray:
-    """Pack non-negative ``(N, 3)`` block coordinates into int64 keys."""
-    c = np.asarray(coords, dtype=np.int64)
-    return (c[..., 0] << (2 * PACK_BITS)) | (c[..., 1] << PACK_BITS) \
-        | c[..., 2]
-
-
-def unpack_block_coords(keys: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pack_block_coords`, ``(N, 3)`` int32."""
-    k = np.asarray(keys, dtype=np.int64)
-    out = np.empty(k.shape + (3,), dtype=np.int32)  # effect-ok: key-count sized
-    out[..., 0] = (k >> (2 * PACK_BITS)) & _PACK_MASK
-    out[..., 1] = (k >> PACK_BITS) & _PACK_MASK
-    out[..., 2] = k & _PACK_MASK
-    return out
-
-
 class SparseTSDFVolume:
     """Voxel-block TSDF volume with the dense volume's API.
 
@@ -94,11 +71,6 @@ class SparseTSDFVolume:
         self.resolution = int(resolution)
         self.size = float(size)
         self.blocks_per_side = -(-self.resolution // BLOCK)
-        if self.blocks_per_side >= (1 << PACK_BITS):
-            raise ConfigurationError(
-                f"volume resolution {resolution} overflows the packed "
-                f"block-coordinate width"
-            )
         nb = self.blocks_per_side
         # A volume never holds more than nb**3 blocks, so a small volume
         # starts (and stays) at that many block rows, with a mask-refresh
@@ -166,26 +138,33 @@ class SparseTSDFVolume:
             return np.empty(0, dtype=np.int32)
         nb = self.blocks_per_side
         flat = (coords[..., 0] * nb + coords[..., 1]) * nb + coords[..., 2]
-        slots = self.block_slot_table[flat]
-        missing = slots < 0
-        if missing.any():
-            # New slots go in (x, y, z)-lexicographic order of the block.
-            new_flat = np.unique(flat[missing])
-            start = self._n_alloc
-            if start + new_flat.size > self.tsdf_blocks.shape[0]:
-                self._grow_blocks(start + new_flat.size)
-            new_slots = np.arange(
-                start, start + new_flat.size, dtype=np.int32
-            )
-            new_coords = np.stack(
-                [new_flat // (nb * nb), (new_flat // nb) % nb,
-                 new_flat % nb], axis=-1
-            ).astype(np.int32)
-            self.block_coords[start:start + new_flat.size] = new_coords
-            self.block_slot_table[new_flat] = new_slots
-            self._n_alloc = start + int(new_flat.size)
-            slots = self.block_slot_table[flat]
-        return slots
+        marked = np.zeros(nb**3, dtype=bool)
+        marked[flat] = True
+        self.allocate_marked(marked)
+        return self.block_slot_table[flat]
+
+    def allocate_marked(self, marked: np.ndarray) -> None:
+        """Allocate every block flagged in ``marked`` that has no slot.
+
+        ``marked`` is an ``nb**3`` bool table indexed like
+        :attr:`block_slot_table`, ``(x * nb + y) * nb + z``.  New slots
+        go in that flat order, i.e. (x, y, z)-lexicographic.
+        """
+        new_flat = np.flatnonzero(marked & (self.block_slot_table < 0))
+        if new_flat.size == 0:
+            return
+        nb = self.blocks_per_side
+        start = self._n_alloc
+        stop = start + new_flat.size
+        if stop > self.tsdf_blocks.shape[0]:
+            self._grow_blocks(stop)
+        coords = self.block_coords[start:stop]
+        coords[:, 0] = new_flat // (nb * nb)
+        coords[:, 1] = (new_flat // nb) % nb
+        coords[:, 2] = new_flat % nb
+        self.block_slot_table[new_flat] = np.arange(start, stop,
+                                                    dtype=np.int32)
+        self._n_alloc = stop
 
     def _grow_blocks(self, need: int) -> None:
         capacity = self.tsdf_blocks.shape[0]

@@ -122,7 +122,7 @@ def integrate(
     flat_t = volume.tsdf.reshape(-1)
     flat_w = volume.weight.reshape(-1)
     w_old = flat_w[idx]
-    w_new = np.minimum(w_old + np.float32(1.0), np.float32(MAX_WEIGHT))
+    w_new = w_old + np.float32(1.0)
     flat_t[idx] = (flat_t[idx] * w_old + tsdf_new) / w_new
-    flat_w[idx] = w_new
+    flat_w[idx] = np.minimum(w_new, np.float32(MAX_WEIGHT))
     return int(idx.size)

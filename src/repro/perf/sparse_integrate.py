@@ -5,12 +5,16 @@ Two passes per frame:
 1. **Allocate** — back-project every valid depth pixel and walk a short
    sample ladder along its ray through the truncation band (in front of
    the measured surface far enough to cover the raycaster's last
-   empty-space step, behind it past +mu), allocating the 8³ blocks each
-   sample's trilinear corner neighbourhood can touch.
+   empty-space step, behind it past +mu), marking the 8³ blocks each
+   sample's trilinear corner neighbourhood can touch in an ``nb³``
+   table and allocating the marked blocks that have no slot yet.
 2. **Update** — for every allocated block still inside the camera
    frustum (conservative plane test on block AABBs), apply the dense
    fast kernel's *exact* float32 op sequence (projection, validity,
    occlusion cut, running weighted average) to the block's voxels.
+   Camera coordinates are separable, so they are built per block axis:
+   the x and y terms summed once into an (8, 8) plane per block, the z
+   term broadcast over it.
 
 Because unallocated space reads as the empty state and the update rule
 is bit-identical to :func:`repro.perf.integrate.integrate`, voxels in
@@ -35,15 +39,12 @@ from ..kfusion.memory import (
     sparse_band_samples,
     sparse_chunk_blocks,
 )
-from ..kfusion.sparse import (
-    BLOCK,
-    BLOCK_VOXELS,
-    PACK_BITS,
-    SparseTSDFVolume,
-    unpack_block_coords,
-)
+from ..kfusion.sparse import BLOCK, BLOCK_VOXELS, SparseTSDFVolume
 from .common import PROJECT_EDGE_EPS, PROJECT_MIN_Z, pixel_rays_f32
 from .workspace import FrameWorkspace
+
+#: log2 of BLOCK_VOXELS: a chunk lane splits into (block, voxel) by shifts.
+_VOXEL_BITS = BLOCK_VOXELS.bit_length() - 1
 
 
 def band_offsets(mu: float, voxel: float) -> np.ndarray:
@@ -117,26 +118,24 @@ def _allocate_band(
     )
     np.copyto(rad, np.ceil(half_spacing), casting="unsafe")
     # Cap at 3 (+1 corner reach = 4): a ±4-voxel span can straddle at
-    # most two blocks per axis, which is what the 8-corner key
-    # enumeration below assumes; coarser-than-that ray spacing leaves
-    # residual divergence the golden suite bounds.
+    # most two blocks per axis, which is what the 8-corner marking
+    # below assumes; coarser-than-that ray spacing leaves residual
+    # divergence the golden suite bounds.
     np.clip(rad, 0, 3, out=rad)
     rad += 1
-    lo = np.clip((vox - rad[:, None]) >> 3, 0, nb - 1)  # effect-ok: batch
-    hi = np.clip((vox + rad[:, None]) >> 3, 0, nb - 1)  # effect-ok: batch
-    keys = ws.buffer("int_band_keys", (8, px * s), dtype=np.int64)
+    vox = vox[ok]  # effect-ok: batch-sized
+    rad = rad[ok, None]  # effect-ok: batch-sized
+    # Flat block-table offsets of each sample's low/high block per axis.
+    stride = np.array([nb * nb, nb, 1], dtype=np.int32)
+    lo = np.clip((vox - rad) >> 3, 0, nb - 1) * stride  # effect-ok: batch
+    hi = np.clip((vox + rad) >> 3, 0, nb - 1) * stride  # effect-ok: batch
+    marked = ws.zeros("int_band_marked", (nb**3,), dtype=bool)
     for c in range(8):
         cx = hi[:, 0] if c & 1 else lo[:, 0]
         cy = hi[:, 1] if c & 2 else lo[:, 1]
         cz = hi[:, 2] if c & 4 else lo[:, 2]
-        k = keys[c]
-        np.copyto(k, cx, casting="unsafe")
-        k <<= PACK_BITS
-        k |= cy.astype(np.int64)
-        k <<= PACK_BITS
-        k |= cz.astype(np.int64)
-    wanted = np.unique(keys[:, ok])  # effect-ok: batch-sized
-    volume.ensure_blocks(unpack_block_coords(wanted))  # effect-ok: new-block sized
+        marked[cx + cy + cz] = True  # effect-ok: batch-sized
+    volume.allocate_marked(marked)
 
 
 def _visible_block_slots(
@@ -222,21 +221,18 @@ def integrate(
     Z = ws.buffer("int_sp_z", shape)
     U = ws.buffer("int_sp_u", shape)
     V = ws.buffer("int_sp_v", shape)
-    IXb = ws.buffer("int_sp_ix", shape, dtype=np.int32)
-    IYb = ws.buffer("int_sp_iy", shape, dtype=np.int32)
-    IZb = ws.buffer("int_sp_iz", shape, dtype=np.int32)
     PIX = ws.buffer("int_sp_pix", shape, dtype=np.int32)
-    GIDX = ws.buffer("int_sp_gidx", shape, dtype=np.int64)
     IN_VIEW = ws.buffer("int_sp_in_view", shape, dtype=bool)
     M = ws.buffer("int_sp_mask", shape, dtype=bool)
+    # Per block axis: the 8 voxel indices along x/y/z, whether each lies
+    # inside the logical grid, the rotated coordinates gathered at them,
+    # and one (8, 8) x-y plane of partial sums.
+    AXI = ws.buffer("int_sp_axis_idx", (3, chunk, BLOCK), dtype=np.int64)
+    AXIN = ws.buffer("int_sp_axis_in", (3, chunk, BLOCK), dtype=bool)
+    AXR = ws.buffer("int_sp_axis_rot", (3, chunk, BLOCK))
+    PLANE = ws.buffer("int_sp_plane", (chunk, BLOCK, BLOCK))
 
-    lx, ly, lz = np.meshgrid(  # effect-ok: 8x8x8 constant
-        np.arange(BLOCK, dtype=np.int32),
-        np.arange(BLOCK, dtype=np.int32),
-        np.arange(BLOCK, dtype=np.int32),
-        indexing="ij",
-    )
-    local = (lx * BLOCK + ly) * BLOCK + lz  # block-row flat order
+    local = np.arange(BLOCK, dtype=np.int64)  # effect-ok: 8-element constant
     depth_flat = depth.reshape(-1).astype(np.float32, copy=False)
     flat_t = volume.tsdf_blocks.reshape(-1)
     flat_w = volume.weight_blocks.reshape(-1)
@@ -247,27 +243,27 @@ def integrate(
         slots = visible[at:at + chunk]
         b = slots.size
         nvox = b * BLOCK_VOXELS
-        bc = volume.block_coords[slots].astype(np.int32) * BLOCK
-        ix = IXb[:nvox].reshape(b, BLOCK, BLOCK, BLOCK)
-        iy = IYb[:nvox].reshape(b, BLOCK, BLOCK, BLOCK)
-        iz = IZb[:nvox].reshape(b, BLOCK, BLOCK, BLOCK)
-        np.add(bc[:, 0, None, None, None], lx[None], out=ix)
-        np.add(bc[:, 1, None, None, None], ly[None], out=iy)
-        np.add(bc[:, 2, None, None, None], lz[None], out=iz)
-        ixf, iyf, izf = (a.reshape(-1) for a in (ix, iy, iz))
+        axi = AXI[:, :b]
+        np.multiply(volume.block_coords[slots].T[:, :, None], BLOCK,
+                    out=axi)
+        axi += local
+        gi, gj, gl = axi
 
         # Camera coordinates, grouped exactly like the dense kernel:
-        # (R[k,0]*ax_i + R[k,1]*ax_j) + (R[k,2]*ax_l + t_k).  The u
-        # buffer doubles as gather scratch until the projection needs it.
+        # (R[k,0]*ax_i + R[k,1]*ax_j) + (R[k,2]*ax_l + t_k), the first
+        # sum once per block x-y plane, the second broadcast along z.
         x, y, z = X[:nvox], Y[:nvox], Z[:nvox]
         u, v = U[:nvox], V[:nvox]
         in_view, m = IN_VIEW[:nvox], M[:nvox]
+        ri, rj, rl = AXR[:, :b]
+        plane = PLANE[:b]
         for k, out in ((0, x), (1, y), (2, z)):
-            np.take(rot[k, 0], ixf, out=out)
-            np.take(rot[k, 1], iyf, out=u)
-            np.add(out, u, out=out)
-            np.take(rot[k, 2], izf, out=u)
-            out += u
+            np.take(rot[k, 0], gi, out=ri)
+            np.take(rot[k, 1], gj, out=rj)
+            np.take(rot[k, 2], gl, out=rl)
+            np.add(ri[:, :, None], rj[:, None, :], out=plane)
+            np.add(plane[..., None], rl[:, None, None, :],
+                   out=out.reshape(b, BLOCK, BLOCK, BLOCK))
 
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(x, z, out=u)
@@ -291,50 +287,57 @@ def integrate(
         if not in_view.any():
             continue
 
-        np.nan_to_num(u, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
-        np.nan_to_num(v, copy=False, nan=0.0, posinf=0.0, neginf=0.0)
+        # Round to the nearest pixel and clamp into the image.  fmax/fmin
+        # also send the non-finite lanes (all out of view) to an in-image
+        # pixel, so the depth gather stays in bounds; in-view lanes get
+        # the dense kernel's exact pixel.
         np.rint(u, out=u)
         np.rint(v, out=v)
-        np.clip(u, 0, camera.width - 1, out=u)
-        np.clip(v, 0, camera.height - 1, out=v)
+        np.fmax(u, np.float32(0.0), out=u)
+        np.fmin(u, np.float32(camera.width - 1), out=u)
+        np.fmax(v, np.float32(0.0), out=v)
+        np.fmin(v, np.float32(camera.height - 1), out=v)
         v *= np.float32(camera.width)
         v += u
         pix = PIX[:nvox]
         np.copyto(pix, v, casting="unsafe")
 
+        # Out-of-view lanes read some pixel's depth, but every test below
+        # is and-ed into in_view, so they never update.
         measured = u  # reuse, as the dense kernel does
         np.take(depth_flat, pix, out=measured)
-        measured[~in_view] = 0.0
-
         sdf = z
         np.subtract(measured, z, out=sdf)
         updatable = in_view
-        updatable &= measured > 0.0
-        updatable &= sdf > np.float32(-mu)
+        updatable &= np.greater(measured, np.float32(0.0), out=m)
+        updatable &= np.greater(sdf, np.float32(-mu), out=m)
         # Padding voxels past the logical grid exist only when the
         # resolution is not a multiple of the block size; the dense
         # kernel has no such voxels, so never write them.
         if nbv != r:
-            updatable &= np.less(ixf, r, out=m)
-            updatable &= np.less(iyf, r, out=m)
-            updatable &= np.less(izf, r, out=m)
+            inside = AXIN[:, :b]
+            np.less(axi, r, out=inside)
+            upd = updatable.reshape(b, BLOCK, BLOCK, BLOCK)
+            upd &= inside[0, :, :, None, None]
+            upd &= inside[1, :, None, :, None]
+            upd &= inside[2, :, None, None, :]
         idx = np.flatnonzero(updatable)  # effect-ok: batch-sized
         if idx.size == 0:
             continue
 
-        gidx = GIDX[:nvox].reshape(b, BLOCK_VOXELS)
-        np.add(slots[:, None] * BLOCK_VOXELS, local.reshape(-1)[None, :],
-               out=gidx)
-        tgt = gidx.reshape(-1)[idx]
+        # Chunk lane idx is voxel idx % 512 of block slots[idx // 512].
+        tgt = slots[idx >> _VOXEL_BITS]  # effect-ok: batch-sized
+        tgt <<= _VOXEL_BITS
+        tgt |= idx & (BLOCK_VOXELS - 1)
 
         tsdf_new = sdf[idx]
         tsdf_new /= np.float32(mu)
         np.clip(tsdf_new, -1.0, 1.0, out=tsdf_new)
 
         w_old = flat_w[tgt]
-        w_new = np.minimum(w_old + np.float32(1.0), np.float32(MAX_WEIGHT))
+        w_new = w_old + np.float32(1.0)
         flat_t[tgt] = (flat_t[tgt] * w_old + tsdf_new) / w_new
-        flat_w[tgt] = w_new
+        flat_w[tgt] = np.minimum(w_new, np.float32(MAX_WEIGHT))
         updated += int(idx.size)
     if updated:
         volume.refresh_nonpositive_mask()

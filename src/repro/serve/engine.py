@@ -228,7 +228,8 @@ class ServeEngine:
         """
         # Lock order: _lock first, then the transport's _cond (taken in
         # drain_transport -> transport.poll).  No transport method may call
-        # back into the engine while holding _cond; no lint rule checks it.
+        # back into the engine while holding _cond; no lint rule checks it,
+        # tests/test_serve.py::TestServeLockOrder does.
         with self._lock, use_tracer(self._tracer):
             self.drain_transport()
             processed = 0

@@ -230,6 +230,14 @@ class TestGoldenStreamTaps:
             assert span.attrs["backend"] == backend
             assert span.attrs["kind"] == "ndarray"
 
+    def test_integrate_spans_count_updated_voxels(self, tapped_run):
+        _, _, tracer = tapped_run
+        updated = {s.attrs["frame"]: s.attrs["voxels_updated"]
+                   for s in tracer.spans if s.name == "integrate"}
+        assert sorted(updated) == list(range(10))
+        assert updated[0] > 0  # the bootstrap frame always fuses
+        assert all(n >= 0 for n in updated.values())
+
     def test_tap_sampling_rate_respected(self, tapped_run):
         _, _, tracer = tapped_run
         model_taps = [s for s in tracer.spans

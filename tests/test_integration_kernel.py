@@ -6,6 +6,8 @@ import pytest
 from repro.geometry import PinholeCamera, se3
 from repro.kfusion import TSDFVolume
 from repro.kfusion.integration import MAX_WEIGHT, integrate
+from repro.kfusion.params import KFusionParams
+from repro.perf import get_kernel_backend
 
 
 @pytest.fixture()
@@ -79,3 +81,25 @@ class TestIntegrate:
         away = se3.make_pose(se3.so3_exp([0.0, np.pi, 0.0]), [1.0, 1.0, -1.0])
         n = integrate(v, wall_depth(cam, 1.0), cam, away, mu=0.1)
         assert n == 0
+
+
+@pytest.mark.parametrize("backend", ["reference", "fast", "sparse"])
+def test_saturated_weight_keeps_tsdf_bounded(cam, pose, backend):
+    """Past MAX_WEIGHT the running average stays a convex mix: fusing one
+    wall 150 times keeps every voxel in [-1, 1] on every backend (dividing
+    by the capped weight would add d/100 per update and drift past 1)."""
+    kernels = get_kernel_backend(backend)
+    params = KFusionParams(volume_resolution=16, volume_size=2.0,
+                           mu_distance=0.3)
+    volume = kernels.make_volume(16, 2.0)
+    ws = kernels.make_workspace(cam, params, 3)
+    dtype = np.float64 if backend == "reference" else np.float32
+    depth = wall_depth(cam, 1.0).astype(dtype)
+    for _ in range(150):
+        kernels.integrate(volume, depth, cam, pose, params.mu_distance, ws)
+    if backend == "sparse":
+        tsdf, weight = volume.densify()
+    else:
+        tsdf, weight = volume.tsdf, volume.weight
+    assert weight.max() == MAX_WEIGHT
+    assert tsdf.min() >= -1.0 and tsdf.max() <= 1.0

@@ -12,6 +12,7 @@ The two tests the subsystem exists to pass:
 
 from __future__ import annotations
 
+import threading  # noqa: RPR006 — exercising the engine's own locking
 from dataclasses import replace
 
 import pytest
@@ -418,8 +419,6 @@ class TestThreadedEngine:
         frame counters never move backwards between polls (each stats()
         snapshot is taken under the scheduling lock, so a torn round
         would show up as non-monotone counters)."""
-        import threading  # noqa: RPR006 — exercising the engine's own locking
-
         engine = ServeEngine(InProcessTransport(),
                              policy=ServePolicy(queue_capacity=256))
         n_clients, n_frames = 4, 8
@@ -474,6 +473,132 @@ class TestThreadedEngine:
         settled = [s for _, s in polls]
         assert received == sorted(received)
         assert settled == sorted(settled)
+
+
+# -- lock order ----------------------------------------------------------------
+class LockOrderError(AssertionError):
+    """The engine lock was requested while the transport's was held."""
+
+
+class _LockOrder:
+    """Per-thread held-lock stacks over proxied engine/transport locks.
+
+    ``ServeEngine.step`` takes the engine ``_lock`` and then the
+    transport's ``_cond`` (``drain_transport`` -> ``poll``).  A thread
+    that takes them the other way round is one half of an AB/BA
+    deadlock, so the proxy records it and raises *before* blocking: an
+    inversion fails the test instead of hanging it.
+    """
+
+    def __init__(self):
+        self._local = threading.local()
+        self.violations: list[str] = []
+
+    def held(self) -> list:
+        if not hasattr(self._local, "names"):
+            self._local.names = []
+        return self._local.names
+
+    def wrap(self, inner, name: str) -> "_RecordingLock":
+        return _RecordingLock(inner, name, self)
+
+    def acquiring(self, name: str) -> None:
+        if name == "_lock" and "_cond" in self.held():
+            self.violations.append(threading.current_thread().name)
+            raise LockOrderError("ServeEngine._lock taken while holding "
+                                 "InProcessTransport._cond")
+
+
+class _RecordingLock:
+    """Context-manager proxy that reports acquisitions to a _LockOrder;
+    everything else (``wait``, ``notify_all``) goes to the real lock."""
+
+    def __init__(self, inner, name: str, order: _LockOrder):
+        self._inner, self._name, self._order = inner, name, order
+
+    def __enter__(self):
+        self._order.acquiring(self._name)
+        self._inner.__enter__()
+        self._order.held().append(self._name)
+        return self
+
+    def __exit__(self, *exc):
+        self._order.held().pop()
+        return self._inner.__exit__(*exc)
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+
+class _InvertedOfferEngine(ServeEngine):
+    """Planted lock inversion (C2): ``offer`` holds the transport's
+    ``_cond`` and then takes the engine ``_lock``."""
+
+    def offer(self, message) -> None:
+        with self.transport._cond, self._lock:
+            self.transport._messages.append(message)
+            self.transport._cond.notify_all()
+
+
+class TestServeLockOrder:
+    def _run(self, engine, offer, sequence):
+        """One thread offers two sessions' messages; another steps the
+        engine and polls stats() until every offered frame settled."""
+        order = _LockOrder()
+        engine._lock = order.wrap(engine._lock, "_lock")
+        engine.transport._cond = order.wrap(engine.transport._cond, "_cond")
+        errors: list[BaseException] = []
+        offered = threading.Event()
+
+        def client() -> None:
+            try:
+                for cid in ("c0", "c1"):
+                    offer(_open(sequence, cid))
+                    for i in range(4):
+                        offer(SessionFrame(cid, _frame(sequence, i)))
+                    offer(SessionClose(cid))
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                offered.set()
+
+        def scheduler() -> None:
+            try:
+                while True:
+                    last = offered.is_set()
+                    engine.step()
+                    engine.stats()
+                    if last and engine.transport.pending == 0 \
+                            and engine.pending_frames() == 0:
+                        return
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client),
+                   threading.Thread(target=scheduler)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads), "engine deadlocked"
+        return order.violations, errors
+
+    def test_engine_lock_never_taken_under_transport_lock(self,
+                                                          tiny_sequence):
+        engine = ServeEngine(InProcessTransport(),
+                             policy=ServePolicy(queue_capacity=32))
+        violations, errors = self._run(engine, engine.transport.send,
+                                       tiny_sequence)
+        assert violations == [] and errors == []
+        stats = engine.stats()
+        assert stats["frames"]["processed"] + stats["frames"]["dropped"] == 8
+        assert stats["sessions"]["by_state"] == {"closed": 2}
+
+    def test_planted_inversion_is_caught(self, tiny_sequence):
+        engine = _InvertedOfferEngine(InProcessTransport())
+        violations, errors = self._run(engine, engine.offer, tiny_sequence)
+        assert violations
+        assert len(errors) == 1 and isinstance(errors[0], LockOrderError)
 
 
 # -- load generator ----------------------------------------------------------

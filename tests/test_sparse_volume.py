@@ -2,8 +2,6 @@
 
 Layers:
 
-* **Packed block coordinates** — the band keys the sparse integrate
-  kernel builds round-trip through pack/unpack.
 * **SparseTSDFVolume semantics** — allocation, the slot table /
   ``block_coords`` inverse pair, dense-volume read semantics over
   unallocated space, occupancy statistics.
@@ -31,8 +29,6 @@ from repro.kfusion.sparse import (
     NONPOS_FLOOR,
     SUB,
     SparseTSDFVolume,
-    pack_block_coords,
-    unpack_block_coords,
 )
 from repro.kfusion.volume import TSDFVolume
 from repro.perf import FrameWorkspace
@@ -58,22 +54,6 @@ def synthetic_depth(camera=CAM, seed=0, hole_fraction=0.15):
     depth += 0.02 * rng.standard_normal((h, w))
     depth[rng.random((h, w)) < hole_fraction] = 0.0
     return depth.astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# Packed block coordinates
-# ---------------------------------------------------------------------------
-@given(coords=st.lists(
-    st.tuples(*(st.integers(min_value=0, max_value=(1 << 20) - 1),) * 3),
-    min_size=1, max_size=50,
-))
-@settings(max_examples=50, deadline=None)
-def test_pack_unpack_roundtrip(coords):
-    c = np.array(coords, dtype=np.int64)
-    keys = pack_block_coords(c)
-    np.testing.assert_array_equal(unpack_block_coords(keys), c)
-    # Packing is injective: distinct coords -> distinct keys.
-    assert len(np.unique(keys)) == len(np.unique(c, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +130,37 @@ class TestSparseVolume:
 # ---------------------------------------------------------------------------
 # Sparse vs dense fast kernels (bit-level)
 # ---------------------------------------------------------------------------
-def _integrated_pair(n_frames=3):
+#: Static-camera scenes per resolution: volume size and camera position.
+#: 48 is a whole number of blocks.  44 (5.5 blocks, same voxel size)
+#: pads the block grid, and its camera sits so that the truncation band
+#: crosses the grid's far x, y and z faces: padding voxels then lie in
+#: allocated, in-view blocks in front of measured depth.
+PAIR_SCENES = {
+    48: (5.0, (2.5, 2.5, 0.0)),
+    44: (5.0 * 44 / 48, (3.8, 3.8, 2.2)),
+}
+
+
+def _integrated_pair(resolution=48, n_frames=3):
     """Static-camera fusion of the same depth into dense + sparse volumes.
 
     A static scene allocates the full truncation band on the first
     frame, so every voxel the dense kernel updates inside an allocated
     block sees the identical update sequence in the sparse kernel.
     """
-    pose = se3.make_pose(np.eye(3), np.array([2.5, 2.5, 0.0]))
+    size, position = PAIR_SCENES[resolution]
+    params = KFusionParams(volume_resolution=resolution, volume_size=size)
+    pose = se3.make_pose(np.eye(3), np.array(position))
     depth = synthetic_depth(seed=0)
-    dense = TSDFVolume(resolution=48, size=5.0)
-    sparse = SparseTSDFVolume(resolution=48, size=5.0)
-    ws_dense = FrameWorkspace(CAM, PARAMS, levels=3)
-    ws_sparse = FrameWorkspace(CAM, PARAMS, levels=3, backend="sparse")
+    dense = TSDFVolume(resolution=resolution, size=size)
+    sparse = SparseTSDFVolume(resolution=resolution, size=size)
+    ws_dense = FrameWorkspace(CAM, params, levels=3)
+    ws_sparse = FrameWorkspace(CAM, params, levels=3, backend="sparse")
     for _ in range(n_frames):
         fast_integrate_mod.integrate(dense, depth, CAM, pose,
-                                     PARAMS.mu_distance, ws_dense)
+                                     params.mu_distance, ws_dense)
         sparse_integrate.integrate(sparse, depth, CAM, pose,
-                                   PARAMS.mu_distance, ws_sparse)
+                                   params.mu_distance, ws_sparse)
     return dense, sparse, pose, ws_dense, ws_sparse
 
 
@@ -177,9 +170,9 @@ def integrated_pair():
 
 
 class TestSparseKernelEquivalence:
-    def test_integrate_bit_identical_in_allocated_blocks(self,
-                                                         integrated_pair):
-        dense, sparse, _, _, _ = integrated_pair
+    @pytest.mark.parametrize("resolution", sorted(PAIR_SCENES))
+    def test_integrate_bit_identical_in_allocated_blocks(self, resolution):
+        dense, sparse, _, _, _ = _integrated_pair(resolution)
         s_tsdf, s_weight = sparse.densify()
         nb = sparse.blocks_per_side
         occupancy = sparse.block_slot_table.reshape(nb, nb, nb) >= 0
@@ -195,6 +188,16 @@ class TestSparseKernelEquivalence:
         # Outside the allocated blocks the sparse volume is pristine.
         np.testing.assert_array_equal(s_tsdf[~allocated], 1.0)
         np.testing.assert_array_equal(s_weight[~allocated], 0.0)
+        # So are the padding voxels past the grid inside allocated blocks.
+        n = sparse.allocated_blocks
+        axes = sparse.block_coords[:n, :, None] * BLOCK + np.arange(BLOCK)
+        padding = ((axes[:, 0, :, None, None] >= r)
+                   | (axes[:, 1, None, :, None] >= r)
+                   | (axes[:, 2, None, None, :] >= r)).reshape(n, -1)
+        assert padding.any() == (r % BLOCK != 0)
+        np.testing.assert_array_equal(sparse.tsdf_blocks[:n][padding], 1.0)
+        np.testing.assert_array_equal(sparse.weight_blocks[:n][padding],
+                                      0.0)
 
     def test_every_observed_voxel_is_allocated(self, integrated_pair):
         """No observed-surface voxel may fall outside allocated blocks
@@ -223,6 +226,19 @@ class TestSparseKernelEquivalence:
         assert sum(split.values()) == workspace_bytes(
             PARAMS, CAM.width, CAM.height, 3, backend="sparse")
         assert set(split) == {"preprocess", "track", "integrate", "raycast"}
+
+    @pytest.mark.parametrize("resolution", sorted(PAIR_SCENES))
+    def test_integrate_buffers_match_model(self, resolution):
+        """The memory model's integrate term is the sparse integrate's
+        arena inventory to the byte."""
+        _, _, _, _, ws = _integrated_pair(resolution, n_frames=1)
+        size, _ = PAIR_SCENES[resolution]
+        params = KFusionParams(volume_resolution=resolution,
+                               volume_size=size)
+        held = sum(buf.nbytes for name, buf in ws._buffers.items()
+                   if name.startswith("int_"))
+        assert held == stage_workspace_bytes(
+            params, CAM.width, CAM.height, 3, backend="sparse")["integrate"]
 
     def test_full_sparse_frame_run_stays_in_budget(self):
         """The arena the sparse pipeline builds must fit its own model."""
