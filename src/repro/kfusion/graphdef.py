@@ -32,7 +32,7 @@ from ..core.outputs import TrackingStatus
 from ..graph import Edge, GraphSpec, Port, StageSpec, register_graph, \
     register_stage
 from . import kernels
-from .memory import stage_workspace_bytes
+from .memory import DEFAULT_KERNEL_BACKEND, stage_workspace_bytes
 from .params import BOOTSTRAP_FRAMES, PYRAMID_LEVELS
 from .preprocessing import downsample_depth
 from .render import render_volume
@@ -60,7 +60,7 @@ def _stage_need(stage: str):
         return stage_workspace_bytes(
             request.params, request.camera.width, request.camera.height,
             request.levels,
-            backend=request.backend or "fast",
+            backend=request.backend or DEFAULT_KERNEL_BACKEND,
         ).get(stage, 0)
     return need
 
@@ -166,6 +166,9 @@ def _run_raycast(ctx, inputs):
         ctx.workspace,
     )
     sys.set_reference(model)
+    if model.samples_evaluated is not None:
+        ctx.span_attrs["samples_evaluated"] = model.samples_evaluated
+        ctx.span_attrs["rays_hit"] = model.rays_hit
     ctx.workload.add(
         kernels.raycast(
             sys.compute_camera.pixel_count,

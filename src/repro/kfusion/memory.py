@@ -13,6 +13,11 @@ from .params import KFusionParams
 
 BYTES_F32 = 4
 
+#: The pipeline's default kernel backend (re-exported as
+#: ``repro.perf.DEFAULT_KERNEL_BACKEND``); the arena model sizes for it
+#: unless a caller names another backend.
+DEFAULT_KERNEL_BACKEND = "sparse"
+
 
 def volume_bytes(params: KFusionParams) -> int:
     """TSDF + weight fields."""
@@ -97,7 +102,8 @@ def compute_pyramid_px(compute_width: int, compute_height: int,
 
 
 def stage_workspace_bytes(params: KFusionParams, width: int, height: int,
-                          levels: int = 3, backend: str = "fast") -> dict:
+                          levels: int = 3,
+                          backend: str = DEFAULT_KERNEL_BACKEND) -> dict:
     """Per-stage split of the fast path's arena budget.
 
     The stage-graph compiler (:mod:`repro.graph.compiler`) plans the
@@ -176,7 +182,8 @@ def stage_workspace_bytes(params: KFusionParams, width: int, height: int,
 
 
 def workspace_bytes(params: KFusionParams, width: int, height: int,
-                    levels: int = 3, backend: str = "fast") -> int:
+                    levels: int = 3,
+                    backend: str = DEFAULT_KERNEL_BACKEND) -> int:
     """Byte budget for the fast path's preallocated float32 arena.
 
     The :class:`repro.perf.FrameWorkspace` must fit inside this bound —

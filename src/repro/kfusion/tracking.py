@@ -59,6 +59,12 @@ class ReferenceModel:
     normals: np.ndarray  # (H, W, 3) volume frame
     camera: PinholeCamera
     pose_volume_from_camera: np.ndarray  # pose used for the raycast
+    #: March work counts, where the raycaster reports them (the ``fast``
+    #: and ``sparse`` kernels do): trilinear samples evaluated and rays
+    #: that found a zero crossing.  The raycast stage puts them on its
+    #: span.
+    samples_evaluated: int | None = None
+    rays_hit: int | None = None
 
 
 def _huber_weights(residuals: np.ndarray, delta: float) -> np.ndarray:

@@ -16,8 +16,8 @@ by the golden suites in ``tests/test_perf.py`` and
 equivalence policy and tolerance rationale.
 """
 
+from ..kfusion.memory import DEFAULT_KERNEL_BACKEND
 from .registry import (
-    DEFAULT_KERNEL_BACKEND,
     FAST_BACKEND,
     KernelBackend,
     REFERENCE_BACKEND,

@@ -71,9 +71,11 @@ def raycast_model(
     prev_valid = ws.zeros("rc_prev_valid", (n_rays,), dtype=bool)
 
     max_steps = int(np.ceil((far - near) / step)) + 1
+    samples_evaluated = 0
     for _ in range(max_steps):
         if active_idx.size == 0:
             break
+        samples_evaluated += active_idx.size
         pts = origin + t[:, None] * dirs
         val, valid = sample_f32(volume, pts)
 
@@ -117,4 +119,6 @@ def raycast_model(
         pose_volume_from_camera=np.asarray(
             pose_volume_from_camera, dtype=float  # f64-ok: pose, 16 values
         ).copy(),
+        samples_evaluated=samples_evaluated,
+        rays_hit=int(np.count_nonzero(hit)),
     )

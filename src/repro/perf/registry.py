@@ -57,9 +57,6 @@ from . import sparse_raycast as _sparse_raycast
 from . import tracking as _fast_track
 from .workspace import FrameWorkspace
 
-#: The pipeline's default backend.
-DEFAULT_KERNEL_BACKEND = "sparse"
-
 
 @dataclass(frozen=True)
 class KernelBackend:
@@ -158,7 +155,7 @@ def _ref_raycast_model(volume, camera, pose_volume_from_camera, mu, ws):
 # -- fast adapters ----------------------------------------------------------
 def _fast_make_workspace(input_camera: PinholeCamera, params: KFusionParams,
                          levels: int) -> FrameWorkspace:
-    return FrameWorkspace(input_camera, params, levels)
+    return FrameWorkspace(input_camera, params, levels, backend="fast")
 
 
 def _fast_track_fn(vertices, normals, reference, pose, iters, icp_threshold,

@@ -37,17 +37,99 @@ from ..geometry import PinholeCamera
 from ..kfusion.sparse import BLOCK, BLOCK_VOXELS, SparseTSDFVolume
 from ..kfusion.tracking import ReferenceModel
 from .common import translation_f32, unit_rays_f32
-from .trilinear import _CORNERS
 from .workspace import FrameWorkspace
 
-#: Corner offsets of :data:`repro.perf.trilinear._CORNERS` as (1, 8)
-#: integer rows, for the corner-vectorised gather below.
-_OX = np.array([c[0] for c in _CORNERS], dtype=np.int32)[None, :]
-_OY = np.array([c[1] for c in _CORNERS], dtype=np.int32)[None, :]
-_OZ = np.array([c[2] for c in _CORNERS], dtype=np.int32)[None, :]
-_OXB = _OX.astype(bool)
-_OYB = _OY.astype(bool)
-_OZB = _OZ.astype(bool)
+#: In-block index strides of a +1 voxel step along x, y, z (block rows
+#: are x-major, see :class:`~repro.kfusion.sparse.SparseTSDFVolume`).
+_LOCAL_STRIDE = np.array([[BLOCK * BLOCK], [BLOCK], [1]], dtype=np.int32)
+
+
+def _gather_corners(volume: SparseTSDFVolume,
+                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """TSDF ``(8, n)`` at the 8 trilinear corners of base voxels ``b``
+    ``(3, n)`` int32 (clipped to the grid; used as scratch), and
+    whether all 8 corners are observed.
+
+    Corner order is ``c = ox + 2 oy + 4 oz``.  Per sample, the base
+    voxel's block index, in-block index and per-axis carry bit (base
+    voxel on its block's last plane) are computed once on ``(n,)``
+    vectors; the corners' indices then follow by doubling adds into
+    ``(8, n)`` arrays.  An unallocated corner shows only through
+    validity: its block slot is -1, so its flat index is negative and
+    the gather clips it to a real voxel whose value no valid sample
+    uses.
+    """
+    nb = volume.blocks_per_side
+    n = b.shape[1]
+    local = b & (BLOCK - 1)
+    carry = local == BLOCK - 1
+    b >>= 3
+    # Block-table index (intp: the gathers' index type, so none of them
+    # converts) and in-block index of every corner.
+    flat = np.empty((8, n), dtype=np.intp)  # effect-ok: batch-sized
+    loc = np.empty((8, n), dtype=np.int32)  # effect-ok: batch-sized
+    np.multiply(b[0], nb, out=flat[0])
+    flat[0] += b[1]
+    flat[0] *= nb
+    flat[0] += b[2]
+    local *= _LOCAL_STRIDE
+    np.add(local[0], local[1], out=loc[0])
+    loc[0] += local[2]
+    # Per-axis deltas of a +1 corner step: a carry moves to the next
+    # block and wraps the in-block index from 7 back to 0.
+    dblk = carry * np.array([[nb * nb], [nb], [1]], dtype=np.int32)
+    dloc = carry * (-BLOCK * _LOCAL_STRIDE)
+    dloc += _LOCAL_STRIDE
+    # Corners [2^a, 2^(a+1)) are corners [0, 2^a) stepped along axis a.
+    for axis in range(3):
+        lo, hi = 1 << axis, 2 << axis
+        np.add(flat[:lo], dblk[axis], out=flat[lo:hi])
+        np.add(loc[:lo], dloc[axis], out=loc[lo:hi])
+
+    # Flat voxel index of every corner, over its block index.
+    np.multiply(volume.block_slot_table.take(flat), BLOCK_VOXELS, out=flat,
+                dtype=np.intp)
+    flat += loc
+    observed = flat.min(axis=0) >= 0
+    observed &= volume.weight_blocks.reshape(-1).take(
+        flat, mode="clip").min(axis=0) > 0.0
+    return volume.tsdf_blocks.reshape(-1).take(flat, mode="clip"), observed
+
+
+def _sample_planes(volume: SparseTSDFVolume,
+                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trilinear TSDF at ``(3, n)`` float32 voxel-space planes ``p``
+    (``point / voxel_size - 0.5`` per axis; used as scratch).
+
+    Every op runs on ``(n,)``, ``(3, n)`` or ``(8, n)`` arrays: no
+    3- or 8-wide inner loops.
+    """
+    r = volume.resolution
+    n = p.shape[1]
+    base = np.floor(p)
+    frac = p
+    frac -= base
+    base = base.astype(np.int32)
+    # Negative coordinates wrap to huge unsigned ones: one compare
+    # tests both grid bounds.
+    valid = (base.view(np.uint32) <= r - 2).all(axis=0)
+    np.clip(base, 0, r - 2, out=base)
+    tv, observed = _gather_corners(volume, base)
+    valid &= observed
+
+    # Corner weights (8, n) with the dense grouping ((wx * wy) * wz),
+    # then the same corner-order accumulation as trilinear.sample_f32.
+    f = np.empty((3, 2, n), dtype=np.float32)  # effect-ok: batch-sized
+    f[:, 1] = frac
+    np.subtract(np.float32(1.0), frac, out=f[:, 0])
+    w = f[2][:, None, None, :] * (f[1][:, None, :] * f[0][None, :, :])
+    w = w.reshape(8, n)
+    w *= tv
+    values = np.zeros(n, dtype=np.float32)  # effect-ok: batch-sized
+    for c in range(8):
+        values += w[c]
+    values[~valid] = np.float32(1.0)
+    return values, valid
 
 
 def sample_sparse_f32(
@@ -56,77 +138,40 @@ def sample_sparse_f32(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trilinear TSDF at float32 volume-frame points, block-table gather.
 
-    Bit-identical to :func:`repro.perf.trilinear.sample_f32` wherever the
-    touched blocks are allocated; unallocated corners read the empty
-    state (tsdf 1.0, weight 0.0), which is what the dense volume holds
-    at any voxel integration never updated.  All 8 trilinear corners are
-    gathered in one ``(n, 8)`` pass through the volume's dense
-    coord->slot table — no hashing on this path — with the dense
-    kernel's weight-product grouping and corner accumulation order
-    preserved so the float32 results round identically.
+    Bit-identical to :func:`repro.perf.trilinear.sample_f32` on the
+    densified volume: a corner in an unallocated block makes the sample
+    invalid, as the dense volume's empty state (weight 0.0) does at any
+    voxel integration never updated.  All 8 trilinear corners are
+    gathered corner-major through the volume's dense coord->slot table
+    (no hashing on this path), with the dense kernel's weight-product
+    grouping and corner accumulation order preserved so the float32
+    results round identically.
     """
-    r = volume.resolution
-    nb = volume.blocks_per_side
-    inv_voxel = np.float32(1.0 / volume.voxel_size)
-    p = points * inv_voxel
+    p = np.empty((3, len(points)), dtype=np.float32)  # effect-ok: batch-sized
+    np.multiply(points.T, np.float32(1.0 / volume.voxel_size), out=p)
     p -= np.float32(0.5)
-
-    base = np.floor(p)
-    frac = p - base
-    base = base.astype(np.int32)
-
-    inside = ((base >= 0) & (base <= r - 2)).all(axis=-1)
-    np.clip(base, 0, r - 2, out=base)
-
-    # (n, 8) corner voxel coordinates and their block-table slots.  All
-    # index arithmetic stays int32: the largest flat voxel index is
-    # blocks * BLOCK_VOXELS < 2^31 up to resolution 1024.
-    ix = base[:, 0:1] + _OX  # effect-ok: batch-sized
-    iy = base[:, 1:2] + _OY  # effect-ok: batch-sized
-    iz = base[:, 2:3] + _OZ  # effect-ok: batch-sized
-    bidx = ((ix >> 3) * np.int32(nb) + (iy >> 3)) * np.int32(nb) \
-        + (iz >> 3)
-    slots = volume.block_slot_table.take(bidx)
-    local = ((ix & 7) * BLOCK + (iy & 7)) * BLOCK + (iz & 7)
-    found = slots >= 0
-    flat = np.where(found, slots, 0) * np.int32(BLOCK_VOXELS) + local
-    tv = volume.tsdf_blocks.reshape(-1).take(flat)
-    wv = volume.weight_blocks.reshape(-1).take(flat)
-    tv[~found] = np.float32(1.0)
-    wv[~found] = np.float32(0.0)
-
-    # Corner weights with the dense grouping ((wx * wy) * wz), then the
-    # same sequential corner-order accumulation as trilinear.sample_f32.
-    one = np.float32(1.0)
-    fx, fy, fz = frac[:, 0:1], frac[:, 1:2], frac[:, 2:3]
-    w = np.where(_OXB, fx, one - fx)  # effect-ok: batch-sized
-    w = w * np.where(_OYB, fy, one - fy)  # effect-ok: batch-sized
-    w *= np.where(_OZB, fz, one - fz)
-    w *= tv
-
-    values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    # (live-ray batches vary per step, as in trilinear.sample_f32)
-    for c in range(8):
-        values += w[:, c]
-
-    valid = inside & (wv > 0.0).all(axis=-1)
-    values[~valid] = np.float32(1.0)
-    return values, valid
+    return _sample_planes(volume, p)
 
 
 def gradient_sparse_f32(volume: SparseTSDFVolume,
                         points: np.ndarray) -> np.ndarray:
     """Central-difference gradient via the sparse sampler (cf.
-    :func:`repro.perf.trilinear.gradient_f32`)."""
+    :func:`repro.perf.trilinear.gradient_f32`).
+
+    The six query sets are built per axis as ``(6, n)`` planes: row
+    ``2a`` is the points shifted by ``+eps`` along axis ``a``, row
+    ``2a + 1`` by ``-eps``.
+    """
     eps = np.float32(volume.voxel_size)
     n = len(points)
-    queries = np.empty((6, n, 3), dtype=np.float32)  # effect-ok: batch-sized
+    q = np.empty((3, 6, n), dtype=np.float32)  # effect-ok: batch-sized
+    q[...] = points.T[:, None, :]
     for axis in range(3):
-        queries[2 * axis] = points
-        queries[2 * axis][:, axis] += eps
-        queries[2 * axis + 1] = points
-        queries[2 * axis + 1][:, axis] -= eps
-    vals, _ = sample_sparse_f32(volume, queries.reshape(-1, 3))
+        q[axis, 2 * axis] += eps
+        q[axis, 2 * axis + 1] -= eps
+    q *= np.float32(1.0 / volume.voxel_size)
+    q -= np.float32(0.5)
+    vals, _ = _sample_planes(volume, q.reshape(3, 6 * n))
     vals = vals.reshape(6, n)
     g = np.empty((n, 3), dtype=np.float32)  # effect-ok: batch-sized
     inv = np.float32(1.0) / (np.float32(2.0) * eps)
@@ -134,6 +179,24 @@ def gradient_sparse_f32(volume: SparseTSDFVolume,
         np.subtract(vals[2 * axis], vals[2 * axis + 1], out=g[:, axis])
         g[:, axis] *= inv
     return g
+
+
+def _may_read_nonpositive(volume: SparseTSDFVolume,
+                          p: np.ndarray) -> np.ndarray:
+    """Flags of the samples at voxel-space planes ``p`` ``(3, ...)``
+    that may read ``<= 0``: the sampler's base voxel (same clip;
+    truncation equals its floor once clipped at 0) gathered from the
+    sub-block non-positive mask."""
+    ns = volume.nonpositive_mask.shape[0]
+    sub = p.astype(np.int32)
+    np.clip(sub, 0, volume.resolution - 2, out=sub)
+    sub >>= 1
+    sidx = sub[0]
+    sidx *= ns
+    sidx += sub[1]
+    sidx *= ns
+    sidx += sub[2]
+    return volume.nonpositive_mask.reshape(-1).take(sidx)
 
 
 def _volume_slab(origin: np.ndarray, dirs: np.ndarray, size: float,
@@ -188,6 +251,10 @@ def raycast_model(
     first crossing is found retire between segments (the dense march
     would have stopped there); segments share their boundary index, so
     a crossing pair straddling the cut re-forms in the next segment.
+
+    The tile is laid out plane-major: x, y and z as ``(rays, k)``
+    planes in voxel space, so no op runs over 3-wide points, and the
+    sampler receives the selected entries of those planes.
     """
     if far is None:
         far = float(np.sqrt(3.0)) * volume.size + near
@@ -209,21 +276,18 @@ def raycast_model(
     tx = ws.buffer("rc_t_exit", (n_rays,))
     _volume_slab(origin, dirs_all, volume.size, near, te, tx)
 
-    ns = volume.nonpositive_mask.shape[0]
-    nonpos_flat = volume.nonpositive_mask.reshape(-1)
-
     # The dense raycaster advances every live ray by the same float32
     # ``t += step`` accumulation, so all its rays share one t-sequence.
-    # Precompute that exact sequence (sequential f32 adds — NOT k*step,
-    # whose different rounding would shift hit_t at the last ulp and
-    # let the two backends drift apart frames later) and let each ray
+    # Precompute that exact sequence (sequential f32 adds, as
+    # ``np.add.accumulate`` makes them — NOT k*step, whose different
+    # rounding would shift hit_t at the last ulp and let the two
+    # backends drift apart frames later) and let each ray
     # carry an integer index into it: a skip of k whole steps lands on
     # the bit-identical t the dense march would have reached.
     max_steps = int(np.ceil((far - near) / step)) + 1
-    ts = np.empty(max_steps + 2, dtype=np.float32)  # effect-ok: per-frame
+    ts = np.full(max_steps + 2, step, dtype=np.float32)  # effect-ok: per-frame
     ts[0] = near
-    for i in range(max_steps + 1):
-        ts[i + 1] = ts[i] + step
+    np.add.accumulate(ts, out=ts)
     last = max_steps + 1
 
     # -- segmented grid march -------------------------------------------
@@ -234,32 +298,26 @@ def raycast_model(
     # extra evaluated-and-discarded samples and can never change which
     # crossing pairs form.
     alive = np.arange(n_rays, dtype=np.int64)
-    dirs = dirs_all
+    dirs = dirs_all.T
     lb = te - step
     ub = np.minimum(tx + step, far)
+    samples_evaluated = 0
 
     inv_vox = np.float32(1.0 / volume.voxel_size)
-    r = volume.resolution
     s = 0
     while alive.size:
         e = min(s + SEGMENT_STEPS, last)
         t_seg = ts[s:e + 1]
         k = t_seg.size
-        # (rays, k) tile of in-bounds samples that may read <= 0: the
-        # sampler's own base voxel (same ops, same clip) gathered from
-        # the sub-block non-positive mask.
-        pts = origin + t_seg[None, :, None] * dirs[:, None, :]
-        p = pts * inv_vox  # effect-ok: tile-sized
+        # x, y and z of the (rays, k) tile in voxel space, by the
+        # sampler's own float32 ops on each coordinate.
+        p = np.multiply.outer(dirs, t_seg)
+        p += origin[:, None, None]
+        p *= inv_vox
         p -= np.float32(0.5)
-        np.floor(p, out=p)
-        base = p.astype(np.int32)
-        np.clip(base, 0, r - 2, out=base)
-        base >>= 1
-        sidx = (base[..., 0] * np.int32(ns) + base[..., 1]) \
-            * np.int32(ns) + base[..., 2]
-        flag = nonpos_flat.take(sidx)
-        flag &= t_seg[None, :] >= lb[:, None]
-        flag &= t_seg[None, :] <= ub[:, None]
+        flag = _may_read_nonpositive(volume, p)
+        flag &= t_seg >= lb[:, None]
+        flag &= t_seg <= ub[:, None]
         # A crossing is a positive sample followed by a flagged one, so
         # keep the flagged samples and their t-predecessors.  The last
         # column's pair with the next index re-forms in the next segment.
@@ -269,9 +327,11 @@ def raycast_model(
         # t-ascending — exactly the order the crossing scan needs.
         rows = np.flatnonzero(sampled.reshape(-1))  # effect-ok: tile-sized
         if rows.size:
+            samples_evaluated += rows.size
             ray_l = rows // k
             tidx_o = s + rows % k
-            v, valid = sample_sparse_f32(volume, pts.reshape(-1, 3)[rows])
+            v, valid = _sample_planes(
+                volume, p.reshape(3, -1).take(rows, axis=1))
 
             same = ray_l[1:] == ray_l[:-1]
             same &= tidx_o[1:] == tidx_o[:-1] + 1
@@ -299,7 +359,7 @@ def raycast_model(
         keep &= ts[e + 1] <= ub
         if not keep.all():
             alive = alive[keep]
-            dirs = dirs[keep]
+            dirs = dirs[:, keep]
             lb = lb[keep]
             ub = ub[keep]
         s = e
@@ -324,4 +384,6 @@ def raycast_model(
         pose_volume_from_camera=np.asarray(
             pose_volume_from_camera, dtype=float  # f64-ok: pose, 16 values
         ).copy(),
+        samples_evaluated=samples_evaluated,
+        rays_hit=int(np.count_nonzero(hit)),
     )

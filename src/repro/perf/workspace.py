@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import PerfError
 from ..geometry import PinholeCamera
-from ..kfusion.memory import workspace_bytes
+from ..kfusion.memory import DEFAULT_KERNEL_BACKEND, workspace_bytes
 from ..kfusion.params import KFusionParams
 
 
@@ -44,7 +44,8 @@ class FrameWorkspace:
     """
 
     def __init__(self, input_camera: PinholeCamera, params: KFusionParams,
-                 levels: int = 3, backend: str = "fast"):
+                 levels: int = 3,
+                 backend: str = DEFAULT_KERNEL_BACKEND):
         self.params = params
         self.levels = levels
         self.backend = backend

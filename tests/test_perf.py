@@ -60,7 +60,7 @@ PARAMS = KFusionParams(volume_resolution=48, volume_size=5.0)
 
 
 def make_ws(camera=CAM, params=PARAMS):
-    return FrameWorkspace(camera, params, levels=3)
+    return FrameWorkspace(camera, params, levels=3, backend="fast")
 
 
 def _run_uncleaned(sequence, **kwargs) -> KinectFusion:
@@ -125,7 +125,7 @@ class TestFrameWorkspace:
     def test_budget_matches_memory_model(self):
         ws = make_ws()
         assert ws.budget_bytes == workspace_bytes(
-            PARAMS, CAM.width, CAM.height, 3
+            PARAMS, CAM.width, CAM.height, 3, "fast"
         )
 
     def test_over_budget_raises_perf_error(self):
@@ -509,3 +509,23 @@ class TestGoldenEquivalence:
             }
             assert stage_attrs, "no kernel spans recorded"
             assert set(stage_attrs.values()) == {name}
+
+    def test_raycast_spans_count_march_work(self, golden_pair):
+        """The fast and sparse raycasts record their evaluated samples
+        and hit rays on the raycast span; the reference reports none."""
+        pixels = 80 * 60 // KFusionParams().compute_size_ratio**2
+        totals = {}
+        for name, (_, tracer) in golden_pair.items():
+            spans = [span.attrs for span in tracer.spans
+                     if span.name == "raycast"]
+            assert len(spans) == 10
+            if name == "reference":
+                assert not any("samples_evaluated" in a or "rays_hit" in a
+                               for a in spans)
+                continue
+            for attrs in spans:
+                assert attrs["samples_evaluated"] > 0
+                assert 0 < attrs["rays_hit"] <= pixels
+            totals[name] = sum(a["samples_evaluated"] for a in spans)
+        # Space skipping: the sparse march evaluates fewer samples.
+        assert totals["sparse"] < totals["fast"]

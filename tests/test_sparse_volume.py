@@ -34,7 +34,7 @@ from repro.kfusion.volume import TSDFVolume
 from repro.perf import FrameWorkspace
 from repro.perf import integrate as fast_integrate_mod
 from repro.perf import raycast as fast_raycast_mod
-from repro.perf import sparse_integrate, sparse_raycast
+from repro.perf import sparse_integrate, sparse_raycast, trilinear
 
 CAM = PinholeCamera.kinect_like(width=48, height=36)
 #: Resolution divisible by BLOCK so the sparse grid has no padding voxels.
@@ -154,7 +154,7 @@ def _integrated_pair(resolution=48, n_frames=3):
     depth = synthetic_depth(seed=0)
     dense = TSDFVolume(resolution=resolution, size=size)
     sparse = SparseTSDFVolume(resolution=resolution, size=size)
-    ws_dense = FrameWorkspace(CAM, params, levels=3)
+    ws_dense = FrameWorkspace(CAM, params, levels=3, backend="fast")
     ws_sparse = FrameWorkspace(CAM, params, levels=3, backend="sparse")
     for _ in range(n_frames):
         fast_integrate_mod.integrate(dense, depth, CAM, pose,
@@ -461,3 +461,72 @@ def test_sparse_raycast_matches_dense_oracle(seed, resolution, mu, sphere,
         FrameWorkspace(cam, params, levels=1, backend="sparse"))
     np.testing.assert_array_equal(got.vertices, want.vertices)
     np.testing.assert_array_equal(got.normals, want.normals)
+
+
+def _carry_code(base):
+    """3-bit code of the axes on which a base voxel sits on its block's
+    last plane (its +1 corner lies in the next block)."""
+    last = (base & (BLOCK - 1)) == BLOCK - 1
+    return last[:, 0] + 2 * last[:, 1] + 4 * last[:, 2]
+
+
+@pytest.mark.parametrize("sphere", [False, True])
+@pytest.mark.parametrize("resolution", [32, 36])
+def test_sparse_sampler_matches_dense_oracle(resolution, sphere):
+    """Bit-exact oracle for the corner-major sampler and its gradient:
+    ``sample_sparse_f32`` / ``gradient_sparse_f32`` equal
+    ``trilinear.sample_f32`` / ``gradient_f32`` on the densified volume.
+
+    The query points cover every carry code with valid samples (so a
+    wrong block or in-block delta on any axis reads a wrong voxel),
+    samples with a corner in an unallocated block, and points outside
+    the grid."""
+    size = 2.0
+    rng = np.random.default_rng(resolution + 2 * sphere)
+    sparse = random_sparse_volume(rng, resolution, size, 0.2, sphere)
+    dense = TSDFVolume(resolution=resolution, size=size)
+    dense.tsdf[:], dense.weight[:] = sparse.densify()
+
+    r = resolution
+    observed = dense.weight > 0
+    valid_base = np.ones((r - 1,) * 3, dtype=bool)
+    for ox, oy, oz in np.ndindex(2, 2, 2):
+        valid_base &= observed[ox:r - 1 + ox, oy:r - 1 + oy, oz:r - 1 + oz]
+    nb = sparse.blocks_per_side
+    allocated = sparse.block_slot_table.reshape(nb, nb, nb) >= 0
+    grid = np.arange(r - 1)
+    corner_blocks = [allocated[np.ix_((grid + ox) >> 3, (grid + oy) >> 3,
+                                      (grid + oz) >> 3)]
+                     for ox, oy, oz in np.ndindex(2, 2, 2)]
+    straddling = corner_blocks[0] & ~np.logical_and.reduce(corner_blocks)
+
+    picks = []
+    candidates = np.argwhere(valid_base)
+    code = _carry_code(candidates)
+    for c in range(8):
+        of_code = candidates[code == c]
+        assert len(of_code), c
+        picks.append(of_code[rng.permutation(len(of_code))[:40]])
+    # Base block allocated, a carried corner's block not (so the sample
+    # is invalid through the block table alone).
+    straddling = np.argwhere(straddling)
+    assert len(straddling) >= 20
+    picks.append(straddling[rng.permutation(len(straddling))[:100]])
+    base = np.concatenate(picks)
+    voxel = sparse.voxel_size
+    points = (base + 0.5 + rng.random(base.shape)) * voxel
+    outside = rng.uniform(-0.5, size + 0.5, (200, 3))
+    outside[:, rng.integers(0, 3, 200)] = rng.choice([-0.1, size + 0.01],
+                                                    200)
+    points = np.concatenate([points, outside]).astype(np.float32)
+
+    want_v, want_ok = trilinear.sample_f32(dense, points)
+    got_v, got_ok = sparse_raycast.sample_sparse_f32(sparse, points)
+    assert want_ok.sum() > 8 * 20 and not want_ok.all()
+    np.testing.assert_array_equal(got_ok, want_ok)
+    np.testing.assert_array_equal(got_v.view(np.uint32),
+                                  want_v.view(np.uint32))
+    want_g = trilinear.gradient_f32(dense, points)
+    got_g = sparse_raycast.gradient_sparse_f32(sparse, points)
+    np.testing.assert_array_equal(got_g.view(np.uint32),
+                                  want_g.view(np.uint32))
