@@ -33,9 +33,6 @@ RPR008   layer-discipline: imports/calls must point down the
 RPR009   transitive-effect-discipline: whole-program effect inference
          (call graph + fixpoint) holds each layer to its effect budget;
          findings carry the full ``via a -> b -> c`` chain
-RPR010   workspace-alloc-discipline: hot :mod:`repro.perf` modules
-         allocate through the workspace arena, with ``# effect-ok:``
-         waivers for variable-length working sets
 RPR012   kernel-contract-consistency: graph port contracts agree with
          the ``@contract`` declarations of the kernels each stage body
          calls (every registered backend, read live; dtype *kind*

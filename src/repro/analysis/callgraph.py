@@ -1,6 +1,6 @@
 """Project-wide call-graph construction from ASTs (no imports executed).
 
-The transitive rules (RPR008-RPR010, :mod:`repro.analysis.effects`) need
+The transitive rules (RPR008-RPR009, :mod:`repro.analysis.effects`) need
 to know *who calls whom* across the whole tree, not just what one file
 spells.  :func:`build_callgraph` turns the parsed
 :class:`~repro.analysis.framework.ModuleContext` set into a

@@ -51,10 +51,6 @@ def arch_show(policy_path: str = DEFAULT_POLICY, echo: Echo = print) -> int:
              f"{', '.join(layer.packages)}{budget}{uses}")
         if layer.index:
             echo(f"      {'|':>{width + 2}}")
-    if policy.hot:
-        echo("")
-        echo(f"  arena-hot: {', '.join(policy.hot)}")
-        echo(f"  arena:     {', '.join(policy.arena)}")
     if policy.waivers:
         echo("")
         echo(f"  {len(policy.waivers)} reviewed waiver(s):")

@@ -39,7 +39,7 @@ times itself *through telemetry* is clean while one calling
 For every propagated effect the engine keeps one ``via`` pointer per
 (function, effect), forming acyclic chains back to a concrete seed
 site; :func:`effect_chain` reconstructs the ``a -> b -> c`` path that
-RPR009/RPR010 findings print.
+RPR009 findings print.
 
 A seed line may carry ``# effect-ok: <reason>`` to waive the intrinsic
 effect at source with a documented justification (mirroring the

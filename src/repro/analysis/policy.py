@@ -1,4 +1,4 @@
-"""Architecture policy: layer DAG, effect budgets, and rules RPR008-010.
+"""Architecture policy: layer DAG, effect budgets, and rules RPR008-009.
 
 The committed ``ARCHITECTURE.toml`` at the repository root declares the
 intended shape of the codebase:
@@ -12,12 +12,9 @@ intended shape of the codebase:
 * per-layer ``forbid`` lists: effects (see
   :mod:`repro.analysis.effects`) no function in the layer may carry,
   directly or transitively.
-* ``[arena]``: the ``hot`` perf modules where fresh numpy allocation
-  must go through the workspace arena, and the ``arena`` modules that
-  absorb the ``alloc`` effect.
 * ``[[waiver]]`` entries: reviewed exceptions, each with a ``reason``.
 
-Three project rules enforce the policy through the normal lint
+Two project rules enforce the policy through the normal lint
 pipeline:
 
 * **RPR008 layer-discipline** — an import or resolved call edge from a
@@ -25,11 +22,8 @@ pipeline:
 * **RPR009 transitive-effect-discipline** — a function in a budgeted
   layer carries a forbidden effect; the finding shows the full
   ``via a -> b -> c`` call chain down to the concrete seed.
-* **RPR010 workspace-alloc-discipline** — allocation entering a hot
-  perf module: intrinsic ``np.zeros``-style seeds are flagged at their
-  line, transitive allocation at the function with its chain.
 
-All three only fire when an ``ARCHITECTURE.toml`` is present in the
+Both only fire when an ``ARCHITECTURE.toml`` is present in the
 working directory, and only report on files inside that directory tree
 (:meth:`~repro.analysis.program.Program.in_scope`) — a policy governs
 the tree it sits at the root of.
@@ -44,7 +38,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from ..contracts import EFFECTS
 from ..errors import ReproError
 from .callgraph import in_package
-from .effects import DEFAULT_ABSORB
 from .findings import Finding
 from .framework import ModuleContext, ProjectChecker, register_checker
 
@@ -200,8 +193,6 @@ class ArchPolicy:
 
     root: str
     layers: list[Layer]
-    hot: tuple[str, ...] = ()
-    arena: tuple[str, ...] = ()
     waivers: list[Waiver] = field(default_factory=list)
     path: str = DEFAULT_POLICY
     #: extra any-thread entry points for the concurrency verifier
@@ -300,12 +291,6 @@ class ArchPolicy:
                    and in_package(target, [w.target])
                    for w in self.waivers)
 
-    def in_hot_path(self, module: str) -> bool:
-        return in_package(module, self.hot)
-
-    def in_arena(self, module: str) -> bool:
-        return in_package(module, self.arena)
-
 
 def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
     """Load and validate the committed policy file."""
@@ -330,7 +315,6 @@ def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
             forbid=tuple(entry.get("forbid", [])),
             uses=None if uses is None else tuple(uses),
         ))
-    arena_tbl = data.get("arena", {})
     waivers = []
     for entry in data.get("waiver", []):
         rule = str(entry.get("rule", ""))
@@ -358,9 +342,6 @@ def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
     return ArchPolicy(
         root=root,
         layers=layers,
-        hot=tuple(arena_tbl.get("hot", [])),
-        arena=tuple(arena_tbl.get("arena",
-                                  DEFAULT_ABSORB.get("alloc", ()))),
         waivers=waivers,
         path=str(p),
         conc_entries=tuple(conc_tbl.get("entries", [])),
@@ -374,7 +355,7 @@ def _chain_text(chain: Sequence[str]) -> str:
 
 
 class _PolicyChecker(ProjectChecker):
-    """Base of RPR008-010: active only under an ``ARCHITECTURE.toml``."""
+    """Base of RPR008-009: active only under an ``ARCHITECTURE.toml``."""
 
     def applies(self, contexts: Sequence[ModuleContext]) -> bool:
         return bool(contexts) and Path(DEFAULT_POLICY).is_file()
@@ -506,61 +487,3 @@ class TransitiveEffectChecker(_PolicyChecker):
                              f"carries forbidden effect {effect!r} "
                              f"{how}{seed_txt}"),
                 )
-
-
-# -- RPR010 -----------------------------------------------------------------
-@register_checker
-class WorkspaceAllocChecker(_PolicyChecker):
-    """RPR010: hot perf modules allocate through the workspace arena."""
-
-    rule_id = "RPR010"
-    title = "workspace-alloc-discipline: hot paths use the arena"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        policy, graph, analysis = (program.policy, program.graph,
-                                   program.effects)
-        if not policy.hot:
-            return
-
-        for qname in sorted(graph.functions):
-            node = graph.functions[qname]
-            if (not policy.in_hot_path(node.module)
-                    or policy.in_arena(node.module)
-                    or qname.endswith(".<module>")):
-                continue
-            info = analysis.info[qname]
-            if "alloc" not in info.effects:
-                continue
-            if policy.waived(self.rule_id, qname, "alloc"):
-                continue
-            own = info.seeds.get("alloc", [])
-            if own:
-                for seed in own:
-                    yield Finding(
-                        path=seed.path, line=seed.lineno, col=1,
-                        rule_id=self.rule_id,
-                        message=(f"hot-path function {qname} allocates via "
-                                 f"{seed.call}; use the workspace arena "
-                                 f"(ws.buffer/ws.zeros) or add an "
-                                 f"'# effect-ok:' waiver"),
-                    )
-                continue
-            # transitive: flag only where allocation *enters* the hot
-            # set — the via-callee is outside hot (and outside arena)
-            nxt = info.via.get("alloc")
-            if nxt is None:
-                continue
-            nxt_module = graph.functions[nxt].module
-            if policy.in_hot_path(nxt_module) \
-                    and not policy.in_arena(nxt_module):
-                continue  # the callee gets its own, closer finding
-            chain = analysis.effect_chain(qname, "alloc")
-            seed = analysis.seed_of(qname, "alloc")
-            seed_txt = f" (seed: {seed.call})" if seed else ""
-            yield Finding(
-                path=node.path, line=node.lineno, col=1,
-                rule_id=self.rule_id,
-                message=(f"hot-path function {qname} allocates "
-                         f"transitively via {_chain_text(chain)}"
-                         f"{seed_txt}; route through the workspace arena"),
-            )

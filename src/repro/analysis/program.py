@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .callgraph import ROOT_PACKAGE, CallGraph, build_callgraph
-from .effects import DEFAULT_ABSORB, EffectAnalysis
+from .effects import EffectAnalysis
 from .framework import AnalysisError, ModuleContext, parse_paths
 from .policy import DEFAULT_POLICY, ArchPolicy, load_policy
 
@@ -56,10 +56,7 @@ class Program:
 
     @cached_property
     def effects(self) -> EffectAnalysis:
-        absorb = dict(DEFAULT_ABSORB)
-        if self.policy is not None:
-            absorb["alloc"] = tuple(self.policy.arena)
-        return EffectAnalysis(self.graph, absorb=absorb)
+        return EffectAnalysis(self.graph)
 
     @cached_property
     def concurrency(self) -> "ConcurrencyAnalysis":

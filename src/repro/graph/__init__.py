@@ -4,13 +4,13 @@
 registered stages, the way SLAMBench2 makes algorithms pluggable behind
 a common stage API:
 
-* :mod:`~repro.graph.stage` — stage specs (ports + contracts, workspace
-  needs, effect budgets) and the write-once stage registry;
+* :mod:`~repro.graph.stage` — stage specs (ports + contracts, effect
+  budgets) and the write-once stage registry;
 * :mod:`~repro.graph.spec` — declarative graphs (nodes, edges, stream
   taps) and the graph-definition registry;
 * :mod:`~repro.graph.compiler` — the runtime compiler: topology,
-  contract and cycle validation, deterministic scheduling, compile-time
-  arena planning, effect-budget checks against ``ARCHITECTURE.toml``;
+  contract and cycle validation, deterministic scheduling, effect-budget
+  checks against ``ARCHITECTURE.toml``;
 * :mod:`~repro.graph.instance` — the compiled, executable pipeline;
 * :mod:`~repro.graph.taps` — stream-tap samplers (intermediate frames
   -> telemetry spans).
@@ -22,7 +22,7 @@ S19.
 """
 
 from ..errors import GraphError, StageExecutionError
-from .compiler import CompiledNode, WorkspacePlan, compile_graph
+from .compiler import CompiledNode, compile_graph
 from .instance import PipelineInstance
 from .spec import (
     Edge,
@@ -37,7 +37,6 @@ from .stage import (
     Port,
     StageContext,
     StageSpec,
-    WorkspaceRequest,
     get_stage,
     register_stage,
     stage_names,
@@ -55,8 +54,6 @@ __all__ = [
     "StageExecutionError",
     "StageSpec",
     "TapSpec",
-    "WorkspacePlan",
-    "WorkspaceRequest",
     "compile_graph",
     "create_graph",
     "default_sampler",

@@ -17,11 +17,7 @@ so running a compiled graph can never fail for a *wiring* reason:
    algorithm with lexicographic tie-breaking), identical across runs
    and interpreter sessions;
 6. every tap observes an existing node output;
-7. stage-declared workspace needs are summed against the run's arena
-   budget (:func:`repro.kfusion.memory.workspace_bytes`) — an
-   over-budget plan raises :class:`~repro.errors.PerfError` here, at
-   compile time, not when the first frame trips the arena mid-run;
-8. stage-declared effect budgets are checked against the owning layer's
+7. stage-declared effect budgets are checked against the owning layer's
    ``forbid`` list in ``ARCHITECTURE.toml`` when a policy is supplied
    (``repro graph check`` does; RPR008/009 enforce the same statically).
 """
@@ -31,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..contracts import parse_port_contract, port_contract_mismatch
-from ..errors import GraphError, PerfError
+from ..errors import GraphError
 from .instance import PipelineInstance
 from .spec import Edge, GraphSpec, TapSpec
-from .stage import StageSpec, WorkspaceRequest, get_stage
+from .stage import StageSpec, get_stage
 
 
 @dataclass(frozen=True)
@@ -45,22 +41,6 @@ class CompiledNode:
     spec: StageSpec
     feeds: tuple[Edge, ...]  #: edges into this node, one per input port
     taps: tuple[TapSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class WorkspacePlan:
-    """Compile-time arena plan: per-stage byte needs against the budget."""
-
-    budget_bytes: int
-    needs: tuple[tuple[str, int], ...]  #: (node name, bytes), schedule order
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(b for _, b in self.needs)
-
-    def breakdown(self) -> str:
-        parts = [f"{name}={nbytes}" for name, nbytes in self.needs]
-        return ", ".join(parts)
 
 
 def _check_nodes(spec: GraphSpec) -> dict[str, StageSpec]:
@@ -213,24 +193,6 @@ def _check_taps(spec: GraphSpec, stages: dict[str, StageSpec]) -> None:
             )
 
 
-def _plan_workspace(spec: GraphSpec, stages: dict[str, StageSpec],
-                    order: list[str], request: WorkspaceRequest,
-                    budget_bytes: int) -> WorkspacePlan:
-    needs = []
-    for node in order:
-        estimator = stages[node].workspace_need
-        needs.append((node, int(estimator(request)) if estimator else 0))
-    plan = WorkspacePlan(budget_bytes=budget_bytes, needs=tuple(needs))
-    if plan.total_bytes > budget_bytes:
-        raise PerfError(
-            f"graph {spec.name!r}: stage workspace needs total "
-            f"{plan.total_bytes} bytes, over the {budget_bytes}-byte "
-            f"arena budget (kfusion.memory.workspace_bytes); "
-            f"per-stage: {plan.breakdown()}"
-        )
-    return plan
-
-
 def _check_effects(spec: GraphSpec, stages: dict[str, StageSpec],
                    policy) -> None:
     for node, stage in stages.items():
@@ -251,20 +213,12 @@ def _check_effects(spec: GraphSpec, stages: dict[str, StageSpec],
 
 def compile_graph(
     spec: GraphSpec,
-    workspace_request: WorkspaceRequest | None = None,
-    arena_budget: int | None = None,
     policy=None,
 ) -> PipelineInstance:
     """Validate a graph spec and emit an executable pipeline instance.
 
     Args:
         spec: the declarative graph.
-        workspace_request: sizing inputs for stage workspace needs; when
-            given together with ``arena_budget``, the compiler plans the
-            whole graph's arena footprint and raises
-            :class:`~repro.errors.PerfError` if it exceeds the budget.
-        arena_budget: the run's arena byte budget
-            (``FrameWorkspace.budget_bytes``).
         policy: a loaded :class:`~repro.analysis.policy.ArchPolicy`;
             when given, stage-declared effects are validated against the
             owning layer's forbid list.
@@ -273,7 +227,6 @@ def compile_graph(
         GraphError: any structural defect (unknown stage/node/port,
             contract mismatch, unfed/double-fed input, cycle, bad tap,
             forbidden declared effect).
-        PerfError: the planned workspace exceeds the arena budget.
     """
     stages = _check_nodes(spec)
     _check_edges(spec, stages)
@@ -281,10 +234,6 @@ def compile_graph(
     _check_taps(spec, stages)
     if policy is not None:
         _check_effects(spec, stages, policy)
-    plan = None
-    if workspace_request is not None and arena_budget is not None:
-        plan = _plan_workspace(spec, stages, order, workspace_request,
-                               arena_budget)
     taps_by_node: dict[str, list[TapSpec]] = {}
     for tap in spec.taps:
         taps_by_node.setdefault(tap.node, []).append(tap)
@@ -300,5 +249,4 @@ def compile_graph(
         )
         for node in order
     )
-    return PipelineInstance(spec=spec, schedule=schedule,
-                            workspace_plan=plan)
+    return PipelineInstance(spec=spec, schedule=schedule)

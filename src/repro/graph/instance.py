@@ -1,8 +1,8 @@
 """The compiled pipeline: a validated schedule that runs one frame.
 
 A :class:`PipelineInstance` is what the runtime compiler emits: the
-deterministic stage schedule with pre-resolved input wiring, the
-compile-time workspace plan, and the attached stream taps.  Per frame it
+deterministic stage schedule with pre-resolved input wiring and the
+attached stream taps.  Per frame it
 
 * threads one :class:`~repro.graph.stage.StageContext` through every
   scheduled stage,
@@ -25,10 +25,9 @@ from .taps import default_sampler
 class PipelineInstance:
     """Executable result of :func:`repro.graph.compiler.compile_graph`."""
 
-    def __init__(self, spec, schedule, workspace_plan=None):
+    def __init__(self, spec, schedule):
         self.spec = spec
         self.schedule = schedule
-        self.workspace_plan = workspace_plan
 
     @property
     def name(self) -> str:

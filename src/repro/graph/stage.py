@@ -9,10 +9,6 @@ a pipeline graph *without running it*:
 * **ports** — named inputs and outputs, each carrying a contract string
   (``"depth.map"``, ``"pyramid.vertices"``).  The compiler only wires an
   edge when the producer and consumer contracts are equal.
-* **workspace need** — a byte estimator against the run's
-  :class:`~repro.perf.workspace.FrameWorkspace` arena, so the whole
-  graph's footprint is planned (and bounded) at compile time instead of
-  discovered when a buffer allocation trips the budget mid-run.
 * **effect budget** — the :data:`repro.contracts.EFFECTS` vocabulary the
   stage admits to; the compiler cross-checks it against the owning
   layer's ``forbid`` list in ``ARCHITECTURE.toml``.
@@ -96,21 +92,6 @@ class StageContext:
 
 
 @dataclass(frozen=True)
-class WorkspaceRequest:
-    """Inputs a stage's workspace-need estimator sizes against.
-
-    Mirrors the arguments of
-    :func:`repro.kfusion.memory.workspace_bytes` so stage-declared needs
-    and the arena budget are derived from the same quantities.
-    """
-
-    params: Any
-    camera: Any  #: sensor-resolution intrinsics (input camera)
-    levels: int = 3
-    backend: str = ""
-
-
-@dataclass(frozen=True)
 class StageSpec:
     """One registered, schedulable pipeline stage.
 
@@ -122,9 +103,6 @@ class StageSpec:
             declared output port must appear in the returned dict.
         inputs: consumed ports (wired by graph edges).
         outputs: produced ports.
-        workspace_need: byte estimator ``f(WorkspaceRequest) -> int`` for
-            the stage's share of the frame arena; ``None`` declares no
-            arena use.
         effects: declared effect budget (:data:`repro.contracts.EFFECTS`
             vocabulary) the compiler validates against ARCHITECTURE.toml.
         workload_timed: record the stage's wall time into the frame
@@ -137,7 +115,6 @@ class StageSpec:
     run: Callable[[StageContext, dict], dict]
     inputs: tuple[Port, ...] = ()
     outputs: tuple[Port, ...] = ()
-    workspace_need: Callable[[WorkspaceRequest], int] | None = None
     effects: frozenset = frozenset()
     workload_timed: bool = True
     description: str = ""
@@ -203,7 +180,6 @@ __all__ = [
     "Port",
     "StageContext",
     "StageSpec",
-    "WorkspaceRequest",
     "get_stage",
     "register_stage",
     "stage_names",

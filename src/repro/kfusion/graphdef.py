@@ -19,11 +19,6 @@ through the graph's typed edges:
         │ └──normals───▶   │                 └──volume─▶ render ◀┘ model
         ▼
    (workload kernels)
-
-Workspace needs per stage come from
-:func:`repro.kfusion.memory.stage_workspace_bytes` — the per-stage split
-of the exact arena budget — so the graph compiler's plan equals the
-run's :class:`~repro.perf.FrameWorkspace` budget by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from ..core.outputs import TrackingStatus
 from ..graph import Edge, GraphSpec, Port, StageSpec, register_graph, \
     register_stage
 from . import kernels
-from .memory import DEFAULT_KERNEL_BACKEND, stage_workspace_bytes
 from .params import BOOTSTRAP_FRAMES, PYRAMID_LEVELS
 from .preprocessing import downsample_depth
 from .render import render_volume
@@ -52,17 +46,6 @@ NORMAL_PYRAMID = "pyramid.normals([H,W,3:f32])"
 TRACKED_FLAG = "track.converged"
 TSDF_VOLUME = "tsdf.volume"
 REFERENCE_MODEL = "model.reference"
-
-
-def _stage_need(stage: str):
-    """Workspace-need estimator bound to one canonical stage name."""
-    def need(request) -> int:
-        return stage_workspace_bytes(
-            request.params, request.camera.width, request.camera.height,
-            request.levels,
-            backend=request.backend or DEFAULT_KERNEL_BACKEND,
-        ).get(stage, 0)
-    return need
 
 
 def _run_preprocess(ctx, inputs):
@@ -199,7 +182,6 @@ PREPROCESS = register_stage(StageSpec(
         Port("vertices", VERTEX_PYRAMID),
         Port("normals", NORMAL_PYRAMID),
     ),
-    workspace_need=_stage_need("preprocess"),
     description="downsample, bilateral-filter, build depth/vertex/normal "
                 "pyramids",
 ))
@@ -212,7 +194,6 @@ TRACK = register_stage(StageSpec(
         Port("normals", NORMAL_PYRAMID),
     ),
     outputs=(Port("tracked", TRACKED_FLAG),),
-    workspace_need=_stage_need("track"),
     description="multi-scale point-to-plane ICP against the raycast "
                 "prediction",
 ))
@@ -225,7 +206,6 @@ INTEGRATE = register_stage(StageSpec(
         Port("tracked", TRACKED_FLAG),
     ),
     outputs=(Port("volume", TSDF_VOLUME),),
-    workspace_need=_stage_need("integrate"),
     description="fuse the frame into the TSDF while tracking is good",
 ))
 
@@ -234,7 +214,6 @@ RAYCAST = register_stage(StageSpec(
     run=_run_raycast,
     inputs=(Port("volume", TSDF_VOLUME),),
     outputs=(Port("model", REFERENCE_MODEL),),
-    workspace_need=_stage_need("raycast"),
     description="render the surface prediction the next track step "
                 "aligns against",
 ))

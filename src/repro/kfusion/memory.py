@@ -106,32 +106,19 @@ def stage_workspace_bytes(params: KFusionParams, width: int, height: int,
                           backend: str = DEFAULT_KERNEL_BACKEND) -> dict:
     """Per-stage split of the fast path's arena budget.
 
-    The stage-graph compiler (:mod:`repro.graph.compiler`) plans the
-    whole pipeline's arena footprint at compile time from the needs each
-    stage declares; those needs are *this* split, so stage declarations
-    and the run's budget (:func:`workspace_bytes`) are terms of one
-    formula and the plan can never silently exceed the budget.  Keys are
-    the canonical stage names; values sum exactly to
-    :func:`workspace_bytes` (pinned by a unit test).
-
-    Preprocess and track charge the exact arena inventory of the shared
-    fast kernels (buffer-by-buffer); the dense integrate/raycast terms
-    keep their historic conservative estimates (the integrate slack is
-    what absorbed modelling error before the split was exact).
+    Keys are the canonical stage names; values sum exactly to
+    :func:`workspace_bytes`.  Every term is the exact buffer-by-buffer
+    inventory of the kernels that stage runs, so a warmed arena holds
+    these bytes stage by stage (pinned by a runtime test): a kernel
+    that moves an arena buffer out of the arena, or adds one the model
+    does not know, turns that test red.
 
     ``backend`` selects the kernel family the arena serves: the sparse
     backend swaps the dense integrate's per-voxel scratch for the
     allocation ladder + chunked block-update buffers and adds the
-    raycaster's per-ray entry/exit clip state; its terms are exact, so
-    the sparse arena is sized to the byte.
+    raycaster's per-ray entry/exit clip state.
     """
     ratio = params.compute_size_ratio
-    input_px = width * height
-    # Two compute-pixel conventions coexist, faithfully to the historic
-    # budget: the frame-buffer inventory divides the input pixel count
-    # (``input_px // ratio**2``), the kernel scratch terms multiply the
-    # floored per-axis sizes (``(w//r) * (h//r)``).
-    fb_px = input_px // ratio**2
     cw, ch = width // ratio, height // ratio
     scratch_px = cw * ch
     pyramid_px = compute_pyramid_px(cw, ch, levels)
@@ -161,11 +148,15 @@ def stage_workspace_bytes(params: KFusionParams, width: int, height: int,
         # + per-ray hit_t/enter/exit (3x f32) + hit mask (bool).
         raycast = (BYTES_F32 * (2 * 3 + 3 + 3) + 1) * scratch_px
     else:
-        # per-voxel camera coordinates, pixel indices and masks
-        integrate = BYTES_F32 * 8 * params.volume_resolution**3
-        # raycast output vertex/normal maps + ray directions (3),
-        # per-ray march state (~4), hit map (~1.5)
-        raycast = BYTES_F32 * (2 * 3 * fb_px + 9 * scratch_px)
+        # Per voxel: camera x/y/z and projected u/v (5x f32), pixel
+        # index (i32), in-view and scratch masks (2x bool) = 26 bytes;
+        # plus the f32 voxel-centre axis.
+        r = params.volume_resolution
+        integrate = 26 * r**3 + BYTES_F32 * r
+        # Output vertex/normal maps (2x f32x3) + ray directions (f32x3)
+        # + per-ray hit_t/t/prev_val (3x f32) + hit and prev_valid
+        # masks (2x bool).
+        raycast = (BYTES_F32 * (2 * 3 + 3 + 3) + 2) * scratch_px
     return {
         # bilateral filter: padded image + depth/tap/accumulator/weight
         # scratch and the filtered output; pyramids: depth levels below

@@ -37,7 +37,7 @@ from ..core.sensors import SensorSuite
 from ..core.workload import FrameWorkload
 from ..errors import ConfigurationError, DatasetError
 from ..geometry import PinholeCamera, se3
-from ..graph import StageContext, WorkspaceRequest, compile_graph
+from ..graph import StageContext, compile_graph
 from ..telemetry import current_tracer
 from .graphdef import kfusion_graph
 from .params import PYRAMID_LEVELS, KFusionParams, parameter_specs
@@ -158,20 +158,7 @@ class KinectFusion(SLAMSystem):
         spec = kfusion_graph(publish_render=self._publish_render)
         if self._taps:
             spec = spec.with_taps(self._taps)
-        # Compile-time arena plan: the graph's summed stage needs must
-        # fit the workspace budget before the first frame runs.
-        request = budget = None
-        if self._workspace is not None:
-            request = WorkspaceRequest(
-                params=self.params,
-                camera=self._input_camera,
-                levels=PYRAMID_LEVELS,
-                backend=self._backend.name,
-            )
-            budget = self._workspace.budget_bytes
-        self._instance = compile_graph(
-            spec, workspace_request=request, arena_budget=budget
-        )
+        self._instance = compile_graph(spec)
         self._pose = se3.make_pose(
             np.eye(3),
             np.array(INITIAL_POSE_FACTOR) * self.params.volume_size,

@@ -102,7 +102,7 @@ def _allocate_band(
     # Valid pixel, and the ±1-voxel corner neighbourhood overlaps the
     # grid (samples far outside must not allocate clipped face blocks).
     np.all((vox >= -1) & (vox <= r), axis=-1, out=ok)
-    ok &= np.repeat(depth.reshape(-1) > 0.0, s)  # effect-ok: batch-sized
+    ok &= np.repeat(depth.reshape(-1) > 0.0, s)
     if not ok.any():
         return
 
@@ -123,18 +123,18 @@ def _allocate_band(
     # divergence the golden suite bounds.
     np.clip(rad, 0, 3, out=rad)
     rad += 1
-    vox = vox[ok]  # effect-ok: batch-sized
-    rad = rad[ok, None]  # effect-ok: batch-sized
+    vox = vox[ok]
+    rad = rad[ok, None]
     # Flat block-table offsets of each sample's low/high block per axis.
     stride = np.array([nb * nb, nb, 1], dtype=np.int32)
-    lo = np.clip((vox - rad) >> 3, 0, nb - 1) * stride  # effect-ok: batch
-    hi = np.clip((vox + rad) >> 3, 0, nb - 1) * stride  # effect-ok: batch
+    lo = np.clip((vox - rad) >> 3, 0, nb - 1) * stride
+    hi = np.clip((vox + rad) >> 3, 0, nb - 1) * stride
     marked = ws.zeros("int_band_marked", (nb**3,), dtype=bool)
     for c in range(8):
         cx = hi[:, 0] if c & 1 else lo[:, 0]
         cy = hi[:, 1] if c & 2 else lo[:, 1]
         cz = hi[:, 2] if c & 4 else lo[:, 2]
-        marked[cx + cy + cz] = True  # effect-ok: batch-sized
+        marked[cx + cy + cz] = True
     volume.allocate_marked(marked)
 
 
@@ -152,11 +152,11 @@ def _visible_block_slots(
     """
     n = volume.allocated_blocks
     if n == 0:
-        return np.empty(0, dtype=np.int64)  # effect-ok: zero-length
+        return np.empty(0, dtype=np.int64)
     bm = volume.voxel_size * BLOCK
     base = volume.block_coords[:n].astype(float) * bm  # f64-ok: cull test
     # 8 AABB corners per block, (n, 8, 3).
-    corners = np.empty((n, 8, 3))  # effect-ok: block-count sized  # f64-ok: cull test
+    corners = np.empty((n, 8, 3))  # f64-ok: cull test
     for c in range(8):
         corners[:, c, 0] = base[:, 0] + (bm if c & 1 else 0.0)
         corners[:, c, 1] = base[:, 1] + (bm if c & 2 else 0.0)
@@ -232,7 +232,7 @@ def integrate(
     AXR = ws.buffer("int_sp_axis_rot", (3, chunk, BLOCK))
     PLANE = ws.buffer("int_sp_plane", (chunk, BLOCK, BLOCK))
 
-    local = np.arange(BLOCK, dtype=np.int64)  # effect-ok: 8-element constant
+    local = np.arange(BLOCK, dtype=np.int64)
     depth_flat = depth.reshape(-1).astype(np.float32, copy=False)
     flat_t = volume.tsdf_blocks.reshape(-1)
     flat_w = volume.weight_blocks.reshape(-1)
@@ -321,12 +321,12 @@ def integrate(
             upd &= inside[0, :, :, None, None]
             upd &= inside[1, :, None, :, None]
             upd &= inside[2, :, None, None, :]
-        idx = np.flatnonzero(updatable)  # effect-ok: batch-sized
+        idx = np.flatnonzero(updatable)
         if idx.size == 0:
             continue
 
         # Chunk lane idx is voxel idx % 512 of block slots[idx // 512].
-        tgt = slots[idx >> _VOXEL_BITS]  # effect-ok: batch-sized
+        tgt = slots[idx >> _VOXEL_BITS]
         tgt <<= _VOXEL_BITS
         tgt |= idx & (BLOCK_VOXELS - 1)
 

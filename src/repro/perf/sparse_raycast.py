@@ -66,8 +66,8 @@ def _gather_corners(volume: SparseTSDFVolume,
     b >>= 3
     # Block-table index (intp: the gathers' index type, so none of them
     # converts) and in-block index of every corner.
-    flat = np.empty((8, n), dtype=np.intp)  # effect-ok: batch-sized
-    loc = np.empty((8, n), dtype=np.int32)  # effect-ok: batch-sized
+    flat = np.empty((8, n), dtype=np.intp)
+    loc = np.empty((8, n), dtype=np.int32)
     np.multiply(b[0], nb, out=flat[0])
     flat[0] += b[1]
     flat[0] *= nb
@@ -119,13 +119,13 @@ def _sample_planes(volume: SparseTSDFVolume,
 
     # Corner weights (8, n) with the dense grouping ((wx * wy) * wz),
     # then the same corner-order accumulation as trilinear.sample_f32.
-    f = np.empty((3, 2, n), dtype=np.float32)  # effect-ok: batch-sized
+    f = np.empty((3, 2, n), dtype=np.float32)
     f[:, 1] = frac
     np.subtract(np.float32(1.0), frac, out=f[:, 0])
     w = f[2][:, None, None, :] * (f[1][:, None, :] * f[0][None, :, :])
     w = w.reshape(8, n)
     w *= tv
-    values = np.zeros(n, dtype=np.float32)  # effect-ok: batch-sized
+    values = np.zeros(n, dtype=np.float32)
     for c in range(8):
         values += w[c]
     values[~valid] = np.float32(1.0)
@@ -147,7 +147,7 @@ def sample_sparse_f32(
     grouping and corner accumulation order preserved so the float32
     results round identically.
     """
-    p = np.empty((3, len(points)), dtype=np.float32)  # effect-ok: batch-sized
+    p = np.empty((3, len(points)), dtype=np.float32)
     np.multiply(points.T, np.float32(1.0 / volume.voxel_size), out=p)
     p -= np.float32(0.5)
     return _sample_planes(volume, p)
@@ -164,7 +164,7 @@ def gradient_sparse_f32(volume: SparseTSDFVolume,
     """
     eps = np.float32(volume.voxel_size)
     n = len(points)
-    q = np.empty((3, 6, n), dtype=np.float32)  # effect-ok: batch-sized
+    q = np.empty((3, 6, n), dtype=np.float32)
     q[...] = points.T[:, None, :]
     for axis in range(3):
         q[axis, 2 * axis] += eps
@@ -173,7 +173,7 @@ def gradient_sparse_f32(volume: SparseTSDFVolume,
     q -= np.float32(0.5)
     vals, _ = _sample_planes(volume, q.reshape(3, 6 * n))
     vals = vals.reshape(6, n)
-    g = np.empty((n, 3), dtype=np.float32)  # effect-ok: batch-sized
+    g = np.empty((n, 3), dtype=np.float32)
     inv = np.float32(1.0) / (np.float32(2.0) * eps)
     for axis in range(3):
         np.subtract(vals[2 * axis], vals[2 * axis + 1], out=g[:, axis])
@@ -205,8 +205,8 @@ def _volume_slab(origin: np.ndarray, dirs: np.ndarray, size: float,
     """Per-ray entry/exit distances against the volume AABB, into
     ``t_enter``/``t_exit`` (float32)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (np.float32(0.0) - origin) / dirs  # effect-ok: per-frame rays
-        t1 = (np.float32(size) - origin) / dirs  # effect-ok: per-frame rays
+        t0 = (np.float32(0.0) - origin) / dirs
+        t1 = (np.float32(size) - origin) / dirs
     lo = np.minimum(t0, t1)
     hi = np.maximum(t0, t1)
     # Axis-parallel rays: 0/0 -> nan; the axis imposes no bound.
@@ -285,7 +285,7 @@ def raycast_model(
     # carry an integer index into it: a skip of k whole steps lands on
     # the bit-identical t the dense march would have reached.
     max_steps = int(np.ceil((far - near) / step)) + 1
-    ts = np.full(max_steps + 2, step, dtype=np.float32)  # effect-ok: per-frame
+    ts = np.full(max_steps + 2, step, dtype=np.float32)
     ts[0] = near
     np.add.accumulate(ts, out=ts)
     last = max_steps + 1
@@ -325,7 +325,7 @@ def raycast_model(
         sampled[:, :-1] |= flag[:, 1:]
         # C-order flatnonzero enumerates the tile ray-major and
         # t-ascending — exactly the order the crossing scan needs.
-        rows = np.flatnonzero(sampled.reshape(-1))  # effect-ok: tile-sized
+        rows = np.flatnonzero(sampled.reshape(-1))
         if rows.size:
             samples_evaluated += rows.size
             ray_l = rows // k
@@ -338,7 +338,7 @@ def raycast_model(
             same &= valid[:-1] & valid[1:]
             same &= v[:-1] > 0.0
             same &= v[1:] <= 0.0
-            j = np.flatnonzero(same)  # effect-ok: hit-sized
+            j = np.flatnonzero(same)
             if j.size:
                 uniq, first = np.unique(ray_l[j], return_index=True)
                 jj = j[first]

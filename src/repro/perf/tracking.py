@@ -136,7 +136,6 @@ def _solve_level(
         e = np.einsum("ij,ij->i", n_m, d_m)
         rmse = float(np.sqrt(np.mean(e * e)))
 
-        # effect-ok: matched-subset Jacobian, reference f64 solver verbatim
         J = np.concatenate([n_m, np.cross(p_m, n_m)], axis=1)
         if huber_delta is not None:
             w = _huber_weights(e, huber_delta)

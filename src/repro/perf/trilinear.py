@@ -55,8 +55,8 @@ def sample_f32(
     wy = (np.float32(1.0) - fy, fy)
     wz = (np.float32(1.0) - fz, fz)
 
-    values = np.zeros(len(p), dtype=np.float32)  # effect-ok: batch-sized
-    observed = np.ones(len(p), dtype=bool)  # effect-ok: batch-sized
+    values = np.zeros(len(p), dtype=np.float32)
+    observed = np.ones(len(p), dtype=bool)
     # (query batches are the compacted live-ray set, so their length
     # varies per call — a fixed-shape arena buffer cannot hold them)
     for ox, oy, oz in _CORNERS:
@@ -79,7 +79,7 @@ def gradient_f32(volume: TSDFVolume, points: np.ndarray) -> np.ndarray:
     """
     eps = np.float32(volume.voxel_size)
     n = len(points)
-    queries = np.empty((6, n, 3), dtype=np.float32)  # effect-ok: batch-sized
+    queries = np.empty((6, n, 3), dtype=np.float32)
     for axis in range(3):
         queries[2 * axis] = points
         queries[2 * axis][:, axis] += eps
@@ -87,7 +87,7 @@ def gradient_f32(volume: TSDFVolume, points: np.ndarray) -> np.ndarray:
         queries[2 * axis + 1][:, axis] -= eps
     vals, _ = sample_f32(volume, queries.reshape(-1, 3))
     vals = vals.reshape(6, n)
-    g = np.empty((n, 3), dtype=np.float32)  # effect-ok: batch-sized
+    g = np.empty((n, 3), dtype=np.float32)
     inv = np.float32(1.0) / (np.float32(2.0) * eps)
     for axis in range(3):
         np.subtract(vals[2 * axis], vals[2 * axis + 1], out=g[:, axis])

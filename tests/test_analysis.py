@@ -50,7 +50,7 @@ class TestFramework:
         catalogue = rule_catalogue()
         assert set(catalogue) == {
             "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009", "RPR010",
+            "RPR007", "RPR008", "RPR009",
             "RPR014", "RPR016",
         }
         assert all(title for title in catalogue.values())

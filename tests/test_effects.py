@@ -2,7 +2,7 @@
 
 Covers the call graph (repro.analysis.callgraph), the intrinsic effect
 seeds and transitive fixpoint (repro.analysis.effects), the policy rules
-RPR008/RPR009/RPR010 (repro.analysis.policy) with true-positive /
+RPR008/RPR009 (repro.analysis.policy) with true-positive /
 false-positive guard pairs, the ``repro arch`` commands and the
 ``repro lint`` exit-code contract — plus the check that the repo itself
 is clean under the committed ARCHITECTURE.toml.
@@ -27,7 +27,7 @@ from repro.analysis.lint import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_SRC = REPO_ROOT / "src" / "repro"
 
-ARCH_RULES = ["RPR008", "RPR009", "RPR010"]
+ARCH_RULES = ["RPR008", "RPR009"]
 
 
 def ctx(path, src):
@@ -319,53 +319,6 @@ class TestTransitiveEffectDiscipline:
         assert "intrinsically" in findings[0].message
 
 
-ARENA_POLICY = BASE_POLICY + """\
-
-[arena]
-hot = ["repro.kern"]
-arena = ["repro.ws"]
-"""
-
-
-class TestWorkspaceAllocDiscipline:
-    def test_raw_numpy_alloc_in_hot_module_flagged(
-            self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, ARENA_POLICY, {
-            "kern.py": "import numpy as np\ndef f(n):\n"
-                       "    return np.zeros(n)\n",
-            "ws.py": "def buffer(n):\n    return None\n",
-        })
-        findings = arch_findings(monkeypatch, root, ["RPR010"])
-        assert len(findings) == 1
-        assert findings[0].line == 3  # the np.zeros site, not the def
-        assert "numpy.zeros" in findings[0].message
-
-    def test_alloc_through_arena_clean(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, ARENA_POLICY, {
-            "kern.py": "from . import ws\ndef f(n):\n"
-                       "    return ws.buffer(n)\n",
-            "ws.py": "import numpy as np\ndef buffer(n):\n"
-                     "    return np.zeros(n)\n",
-        })
-        assert arch_findings(monkeypatch, root, ["RPR010"]) == []
-
-    def test_transitive_alloc_flagged_at_boundary(
-            self, tmp_path, monkeypatch):
-        # kern.f -> top.helper (outside the hot set) -> np.zeros: the
-        # hot-path boundary function carries the finding, with a chain.
-        root = write_tree(tmp_path, ARENA_POLICY, {
-            "kern.py": "from . import top\ndef f(n):\n"
-                       "    return top.helper(n)\n",
-            "top.py": "import numpy as np\ndef helper(n):\n"
-                      "    return np.zeros(n)\n",
-            "ws.py": "def buffer(n):\n    return None\n",
-        })
-        findings = arch_findings(monkeypatch, root, ["RPR010"])
-        assert len(findings) == 1
-        assert "repro.kern.f" in findings[0].message
-        assert "repro.top.helper" in findings[0].message
-
-
 class TestLintExitContract:
     def test_clean_exits_zero(self, tmp_path):
         f = tmp_path / "ok.py"
@@ -386,13 +339,12 @@ class TestLintExitContract:
 
 class TestArchCommands:
     def test_show_prints_layers(self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, ARENA_POLICY, {})
+        root = write_tree(tmp_path, BASE_POLICY, {})
         monkeypatch.chdir(root)
         out = []
         assert arch_show(echo=out.append) == LINT_EXIT_CLEAN
         text = "\n".join(out)
         assert "kernels" in text and "top" in text
-        assert "arena-hot" in text
 
     def test_graph_json_and_dot(self, tmp_path, monkeypatch):
         root = write_tree(tmp_path, BASE_POLICY, {

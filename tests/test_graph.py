@@ -1,10 +1,8 @@
 """Unit tests for the stage-graph runtime (``repro.graph``).
 
 Covers the registry discipline, the compiler's structural validations
-(each with its named-entity error message), compile-time arena planning
-(the latent arena-sizing bug class: overflow must fail at *compile*
-time, not when the first frame trips the workspace), effect-budget
-checks against ARCHITECTURE.toml, failure semantics
+(each with its named-entity error message), effect-budget checks
+against ARCHITECTURE.toml, failure semantics
 (:class:`~repro.errors.StageExecutionError` naming the stage), and
 stream taps (sampling cadence, span attributes, read-only samplers).
 """
@@ -13,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.policy import load_policy
-from repro.errors import GraphError, PerfError, StageExecutionError
+from repro.errors import GraphError, StageExecutionError
 from repro.graph import (
     Edge,
     GraphSpec,
@@ -21,7 +19,6 @@ from repro.graph import (
     StageContext,
     StageSpec,
     TapSpec,
-    WorkspaceRequest,
     compile_graph,
     create_graph,
     default_sampler,
@@ -32,8 +29,6 @@ from repro.graph import (
     stage_names,
 )
 from repro.core.registry import register_defaults
-from repro.kfusion.memory import stage_workspace_bytes, workspace_bytes
-from repro.kfusion.params import KFusionParams
 from repro.telemetry import Tracer, use_tracer
 
 register_defaults()  # imports the kfusion + odometry graph definitions
@@ -233,71 +228,6 @@ class TestCompilerValidation:
         spec = _toy_graph(scratch_registry).with_tap("a", "out", every=0)
         with pytest.raises(GraphError, match="every=0"):
             compile_graph(spec)
-
-
-class TestWorkspacePlanning:
-    """The arena-sizing bug class: overflow fails at compile time."""
-
-    REQUEST = WorkspaceRequest(params=None, camera=None)
-
-    def _sized_graph(self, scratch_registry, need_a, need_b):
-        register_stage(_spec("toy.a", outputs=(Port("out", "num"),),
-                             workspace_need=lambda req: need_a))
-        register_stage(_spec("toy.b", inputs=(Port("in", "num"),),
-                             workspace_need=lambda req: need_b))
-        return GraphSpec(name="sized",
-                         nodes=(("a", "toy.a"), ("b", "toy.b")),
-                         edges=(Edge("a", "out", "b", "in"),))
-
-    def test_within_budget_produces_plan(self, scratch_registry):
-        spec = self._sized_graph(scratch_registry, 600, 400)
-        instance = compile_graph(spec, workspace_request=self.REQUEST,
-                                 arena_budget=1000)
-        plan = instance.workspace_plan
-        assert plan.total_bytes == 1000
-        assert plan.needs == (("a", 600), ("b", 400))
-        assert "a=600" in plan.breakdown()
-
-    def test_overflow_raises_perferror_at_compile_time(
-            self, scratch_registry):
-        spec = self._sized_graph(scratch_registry, 600, 401)
-        with pytest.raises(PerfError) as err:
-            compile_graph(spec, workspace_request=self.REQUEST,
-                          arena_budget=1000)
-        msg = str(err.value)
-        assert "1001 bytes" in msg and "1000-byte" in msg
-        assert "a=600" in msg and "b=401" in msg
-
-    def test_no_budget_no_plan(self, scratch_registry):
-        spec = self._sized_graph(scratch_registry, 600, 400)
-        assert compile_graph(spec).workspace_plan is None
-
-    @pytest.mark.parametrize("ratio", [1, 2, 4, 8])
-    @pytest.mark.parametrize("shape", [(320, 240), (80, 60), (100, 77)])
-    def test_stage_split_sums_to_arena_budget(self, ratio, shape):
-        """stage_workspace_bytes is an exact partition of workspace_bytes
-        — the graph plan and the run's arena budget are one formula."""
-        params = KFusionParams(volume_resolution=64,
-                               compute_size_ratio=ratio)
-        width, height = shape
-        split = stage_workspace_bytes(params, width, height)
-        assert sum(split.values()) == workspace_bytes(params, width, height)
-        assert set(split) == {"preprocess", "track", "integrate", "raycast"}
-
-    def test_kfusion_graph_plan_matches_run_budget(self):
-        """Compiling the real kfusion graph against the real arena budget
-        succeeds with the plan exactly filling the budget."""
-        from repro.geometry import PinholeCamera
-
-        params = KFusionParams(volume_resolution=64)
-        camera = PinholeCamera.kinect_like(80, 60)
-        budget = workspace_bytes(params, 80, 60)
-        instance = compile_graph(
-            create_graph("kfusion"),
-            workspace_request=WorkspaceRequest(params=params, camera=camera),
-            arena_budget=budget,
-        )
-        assert instance.workspace_plan.total_bytes == budget
 
 
 class TestDeterministicSchedule:

@@ -46,6 +46,7 @@ from repro.perf import (
     register_kernel_backend,
 )
 from repro.perf import integrate as fast_integrate_mod
+from repro.perf import registry as perf_registry
 from repro.perf import preprocess as fast_pre
 from repro.perf import raycast as fast_raycast_mod
 from repro.perf import tracking as fast_track
@@ -194,6 +195,26 @@ class TestKernelBackendRegistry:
 
     def test_reference_backend_needs_no_workspace(self):
         assert REFERENCE_BACKEND.make_workspace(CAM, PARAMS, 3) is None
+
+    def test_backend_runs_under_any_registered_name(self, monkeypatch):
+        """The arena is sized by the backend's own kernels, not by the
+        name it is registered under: sparse's slots registered anew
+        compile and run to sparse's poses."""
+        monkeypatch.setattr(perf_registry, "_BACKENDS",
+                            dict(perf_registry._BACKENDS))
+        register_kernel_backend(dataclasses.replace(
+            get_kernel_backend("sparse"), name="sparse-renamed"))
+        seq = icl_nuim.load("lr_kt0", n_frames=3, width=80, height=60,
+                            seed=0)
+        config = {"volume_resolution": 64, "volume_size": 5.0}
+        poses = {}
+        for name in ("sparse", "sparse-renamed"):
+            result = run_benchmark(KinectFusion(kernel_backend=name), seq,
+                                   configuration=config)
+            poses[name] = [r.pose for r in result.collector.records]
+        assert len(poses["sparse-renamed"]) == 3
+        np.testing.assert_array_equal(poses["sparse-renamed"],
+                                      poses["sparse"])
 
     def test_create_algorithm_forwards_kernel_backend(self):
         register_defaults()
