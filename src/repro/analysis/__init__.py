@@ -37,23 +37,16 @@ RPR012   kernel-contract-consistency: graph port contracts agree with
          the ``@contract`` declarations of the kernels each stage body
          calls (every registered backend, read live; dtype *kind*
          compared)
-RPR014   lockset-discipline: state written in multi-thread-reachable
-         code needs a non-empty common lockset, a verified ``[[lock]]``
-         guards declaration, or ``# guarded-by: <target> -- <reason>``
-RPR016   wait-discipline: untimed ``Condition.wait`` sits in a
-         predicate loop; no blocking or forbidden-effect calls while
-         holding a lock (composes with the RPR009 effect fixpoint)
 =======  ==============================================================
 
 RPR012 runs against the *registered graph definitions* rather than
 per-file, so it lives in ``repro graph check`` (same exit-code contract,
 same ``# noqa`` handling) instead of ``repro lint``; see
-:mod:`repro.analysis.dataflow`.  RPR014/016 (the lockset concurrency
-verifier over the thread/process layers) also run standalone under
-``repro races check``, which validates the ``[concurrency]`` policy
-names too; see :mod:`~repro.analysis.concurrency` and
-:mod:`~repro.analysis.commands`.  The rules are the gates: no snapshot
-of inferred effects or concurrency facts is committed.
+:mod:`repro.analysis.dataflow`.  The rules are the gates: no snapshot
+of inferred effects is committed.  The serve layer's locking is checked
+where it runs, by the tier-1 test ``tests/test_locksets.py`` (an
+Eraser-style lockset check over the threaded engine), not by a rule
+here.
 
 Every whole-program rule and command shares one parse, one call graph
 and one effect fixpoint per file set: the
@@ -71,12 +64,10 @@ Programmatic use::
     exit_code = run_lint(["src/repro"], output_format="json")
 
 Importing this package registers all checkers; the per-rule modules are
-:mod:`~repro.analysis.checkers` (RPR001/2/3/5/6/7),
-:mod:`~repro.analysis.policy` (RPR008/9/10, backed by
-:mod:`~repro.analysis.callgraph` and :mod:`~repro.analysis.effects`) and
-:mod:`~repro.analysis.concurrency` (RPR014/16).
+:mod:`~repro.analysis.checkers` (RPR001/2/3/5/6/7) and
+:mod:`~repro.analysis.policy` (RPR008/9, backed by
+:mod:`~repro.analysis.callgraph` and :mod:`~repro.analysis.effects`).
 """
 
 from . import checkers as _checkers  # noqa: F401 (registers RPR001/2/3/5/6/7)
-from . import concurrency as _concurrency  # noqa: F401 (RPR014/16)
-from . import policy as _policy  # noqa: F401  (registers RPR008/9/10)
+from . import policy as _policy  # noqa: F401  (registers RPR008/9)

@@ -99,9 +99,6 @@ class FunctionNode:
     lineno: int
     #: resolved first-party callees (qnames into :attr:`CallGraph.functions`)
     calls: set[str] = field(default_factory=set)
-    #: resolved callees with their call sites (concurrency analysis needs
-    #: per-site lock contexts; ``calls`` is the deduplicated view)
-    resolved_sites: list[CallSite] = field(default_factory=list)
     #: dotted stdlib/third-party calls, with sites (effect-seed matching)
     external: list[CallSite] = field(default_factory=list)
     #: calls we could not attribute — recorded, never dropped
@@ -292,9 +289,8 @@ def solve_worklist(start: Iterable[str],
     the nodes that must be visited again because of that update.  The
     solver visits ``start`` first, then round by round every node the
     previous round queued, each round in sorted order, until a round
-    queues nothing.  The fixed visiting order makes every derived
-    artefact deterministic: effect ``via`` chains, thread-discovery
-    trees, and lockset fixpoints.
+    queues nothing.  The fixed visiting order makes the derived effect
+    ``via`` chains deterministic.
     """
     pending = sorted(set(start))
     while pending:
@@ -673,11 +669,6 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
             return
         head, _, rest = dotted.partition(".")
 
-        def resolved(target_qname: str) -> None:
-            node_out.calls.add(target_qname)
-            node_out.resolved_sites.append(
-                CallSite(target_qname, call.lineno))
-
         # self.m() / cls.m() -> enclosing class attribution
         if head in ("self", "cls") and class_qname is not None and rest:
             method = graph._class_method(class_qname, rest)
@@ -688,7 +679,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
                 if attr_cls is not None:
                     method = graph._class_method(attr_cls, chain)
             if method is not None:
-                resolved(method)
+                node_out.calls.add(method)
             else:
                 node_out.unresolved.append(CallSite(dotted, call.lineno))
             return
@@ -696,13 +687,13 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
         if head in local_types and rest:
             method = graph._class_method(local_types[head], rest)
             if method is not None:
-                resolved(method)
+                node_out.calls.add(method)
             else:
                 node_out.unresolved.append(CallSite(dotted, call.lineno))
             return
         # bare name bound to a nested def
         if not rest and head in nested_funcs:
-            resolved(nested_funcs[head])
+            node_out.calls.add(nested_funcs[head])
             return
         # function-local imports take priority over module symbols
         if head in local_imports:
@@ -715,7 +706,7 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
             expanded = _expand_alias(symbols, dotted)
         target = graph.resolve_function(expanded)
         if target is not None:
-            resolved(target)
+            node_out.calls.add(target)
             return
         if (expanded == graph.root_package
                 or expanded.startswith(root_prefix)):
@@ -746,8 +737,6 @@ def _resolve_function_calls(graph: CallGraph, harvest: _ModuleHarvest,
                     method = graph._class_method(cls, proto)
                     if method is not None:
                         node_out.calls.add(method)
-                        node_out.resolved_sites.append(
-                            CallSite(method, ce.lineno))
 
 
 def build_callgraph(contexts: Sequence[ModuleContext],

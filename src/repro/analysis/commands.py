@@ -1,29 +1,19 @@
-"""The ``repro arch`` and ``repro races`` subcommands.
+"""The ``repro arch`` subcommands.
 
 Thin, testable functions over one :class:`~repro.analysis.program.Program`,
 each with the lint exit-code contract (0 clean / 1 findings / 2 internal
-error).  ``arch show|graph|effects`` and ``races show`` only print what
-the analysis inferred; the gates are the lint rules themselves
-(``repro lint`` runs RPR008-010 and RPR014/016), plus ``races check``,
-which also validates the ``[concurrency]`` policy names against the
-tree.
+error).  ``arch show|graph|effects`` only print what the analysis
+inferred; the gates are the lint rules themselves (``repro lint`` runs
+RPR008-009).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .callgraph import CallGraph
-from .concurrency import RACE_RULES, ConcurrencyAnalysis
-from .lint import (
-    LINT_EXIT_CLEAN,
-    LINT_EXIT_FINDINGS,
-    LINT_EXIT_INTERNAL,
-    internal_errors,
-    run_lint,
-)
+from .lint import LINT_EXIT_CLEAN, internal_errors
 from .policy import DEFAULT_POLICY, ArchPolicy, load_policy
 from .program import load_program
 
@@ -144,71 +134,4 @@ def arch_effects(paths: Sequence[str] = DEFAULT_PATHS,
         echo(f"{qname}: {', '.join(effects)}")
         shown += 1
     echo(f"({shown} function(s) with effects)")
-    return LINT_EXIT_CLEAN
-
-
-# -- repro races -------------------------------------------------------------
-def _policy_issues(analysis: ConcurrencyAnalysis) -> list[str]:
-    """Policy names that do not resolve against the analyzed tree.
-
-    The checkers silently ignore these (fixture trees legitimately lack
-    the repo's entries); the CLI is where the real tree is analyzed, so
-    here they are errors — a stale name means a rename silently shrank
-    the verified surface.
-    """
-    issues = list(analysis.entry_issues)
-    if analysis.policy is None:
-        return issues
-    lock_keys = {k for k in analysis.sync_kinds if analysis._is_lock(k)}
-    for name in analysis.policy.conc_serialized:
-        if name not in analysis.graph.functions:
-            issues.append(name)
-    for lp in analysis.policy.lock_policies:
-        if lp.name not in lock_keys:
-            issues.append(lp.name)
-    return issues
-
-
-@internal_errors("races")
-def races_check(paths: Sequence[str] = DEFAULT_PATHS,
-                echo: Echo = print) -> int:
-    """Run the concurrency rules only; lint exit-code contract."""
-    if not Path(DEFAULT_POLICY).is_file():
-        echo(f"races: no {DEFAULT_POLICY} in the working directory")
-        return LINT_EXIT_INTERNAL
-    issues = _policy_issues(load_program(paths).concurrency)
-    for name in issues:
-        echo(f"races: [concurrency] policy name {name!r} does not "
-             f"resolve in the analyzed tree (renamed or removed?)")
-    if issues:
-        return LINT_EXIT_FINDINGS
-    return run_lint(list(paths), select=list(RACE_RULES), echo=echo)
-
-
-@internal_errors("races")
-def races_show(paths: Sequence[str] = DEFAULT_PATHS,
-               echo: Echo = print) -> int:
-    """Print thread contexts, locks and field verdicts."""
-    analysis = load_program(paths).concurrency
-    echo(f"thread contexts ({len(analysis.contexts)}):")
-    for name in sorted(analysis.contexts):
-        ctx = analysis.contexts[name]
-        tags = [tag for tag, on in (("multi", ctx.multi),
-                                    ("isolated", ctx.isolated)) if on]
-        tag = f" [{', '.join(tags)}]" if tags else ""
-        echo(f"  {name}{tag}: {len(ctx.roots)} root(s), "
-             f"{len(ctx.reach)} reachable function(s)")
-    locks = sorted(k for k in analysis.sync_kinds if analysis._is_lock(k))
-    echo(f"locks ({len(locks)}):")
-    for lock in locks:
-        echo(f"  {lock} ({analysis.sync_kinds[lock]})")
-    echo(f"shared-field verdicts ({len(analysis.verdicts)}):")
-    for key in sorted(analysis.verdicts):
-        v = analysis.verdicts[key]
-        detail = ""
-        if v.get("locks"):
-            detail = " by " + ", ".join(v["locks"])
-        elif v.get("guard"):
-            detail = f" (guarded-by: {v['guard']} -- {v.get('reason', '')})"
-        echo(f"  {key}: {v['verdict']}{detail}")
     return LINT_EXIT_CLEAN

@@ -18,10 +18,6 @@ an **effect set** drawn from a small fixed vocabulary
 ``global-write``
     rebinding or mutating module-level state (``global`` declarations,
     stores into module-level names, mutating calls on them).
-``alloc``
-    fresh-array numpy constructors (``np.zeros``/``empty``/...) — the
-    thing the :mod:`repro.perf` workspace arena exists to hoist out of
-    per-frame hot paths.
 ``raises(T)``
     may raise exception type ``T`` (resolvable ``raise`` statements).
 
@@ -29,12 +25,11 @@ Effects are **seeded** from intrinsic AST patterns (the same pattern
 tables the per-file rules RPR001/2/6 use, so the two views cannot
 drift), then **propagated** caller <- callee to a deterministic
 fixpoint by the shared worklist solver
-(:func:`~repro.analysis.callgraph.solve_worklist`).  Three owner
+(:func:`~repro.analysis.callgraph.solve_worklist`).  Two owner
 packages *absorb* the effect they exist to encapsulate —
 ``repro.telemetry`` absorbs ``time``, ``repro.jobs`` absorbs
-``process``, the workspace arena absorbs ``alloc`` — so a kernel that
-times itself *through telemetry* is clean while one calling
-``time.time()`` directly is not.
+``process`` — so a kernel that times itself *through telemetry* is
+clean while one calling ``time.time()`` directly is not.
 
 For every propagated effect the engine keeps one ``via`` pointer per
 (function, effect), forming acyclic chains back to a concrete seed
@@ -63,14 +58,6 @@ from .framework import dotted_name
 
 #: Inline waiver marker: suppresses the intrinsic seed on its line.
 EFFECT_WAIVER = "# effect-ok:"
-
-#: numpy constructors that materialise fresh arrays.
-ALLOC_NP_CALLS = frozenset({
-    "zeros", "ones", "empty", "full",
-    "zeros_like", "ones_like", "empty_like", "full_like",
-    "meshgrid", "tile", "repeat", "concatenate", "stack",
-    "vstack", "hstack", "dstack", "column_stack",
-})
 
 #: stdlib global-stream RNG calls (module ``random``).
 RNG_STDLIB_CALLS = frozenset({
@@ -118,7 +105,6 @@ MUTATING_METHOD_NAMES = frozenset({
 DEFAULT_ABSORB: dict[str, tuple[str, ...]] = {
     "time": ("repro.telemetry",),
     "process": ("repro.jobs",),
-    "alloc": ("repro.perf.workspace",),
 }
 
 
@@ -197,8 +183,6 @@ class EffectAnalysis:
             elif (target in PROCESS_CALLS
                   or in_package(target, BANNED_PROCESS_MODULES)):
                 seed("process", target, site.lineno)
-            elif head in ("numpy", "np") and attr in ALLOC_NP_CALLS:
-                seed("alloc", target, site.lineno)
             elif attr in IO_METHOD_NAMES:
                 seed("io", target, site.lineno)
 

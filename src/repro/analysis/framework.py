@@ -33,9 +33,8 @@ class AnalysisError(ReproError):
 
 #: Content-addressed :class:`ModuleContext` memo: parsing is the
 #: dominant fixed cost of every analysis entry point, and one tool run
-#: routinely wants the same tree several times (``repro races check``
-#: builds the program model, then ``run_lint`` re-walks the same files;
-#: test suites drive ``analyze_paths`` repeatedly).  Keyed by path +
+#: routinely wants the same tree several times (test suites drive
+#: ``analyze_paths`` repeatedly).  Keyed by path +
 #: source hash, so an edited file can never serve a stale tree.
 _AST_CACHE: dict[str, "ModuleContext"] = {}
 

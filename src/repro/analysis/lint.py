@@ -10,8 +10,8 @@ CI can tell findings apart from analyzer crashes:
   path, malformed policy, or an unexpected exception).
 
 :func:`report_findings` and :func:`internal_errors` are that tail on
-their own; ``repro graph check`` (RPR012) and the ``repro
-arch``/``races`` commands report through them too.
+their own; ``repro graph check`` (RPR012) and the ``repro arch``
+commands report through them too.
 """
 
 from __future__ import annotations

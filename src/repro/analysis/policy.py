@@ -171,22 +171,6 @@ class Waiver:
     target: str = ""  #: module/package prefix the edge lands in (RPR008)
 
 
-@dataclass(frozen=True)
-class LockPolicy:
-    """One ``[[lock]]`` table: what a lock guards and what it forbids.
-
-    ``guards`` entries are *assertions* the concurrency verifier checks
-    (every listed field must really have this lock in its common
-    lockset); ``forbid`` lists extra effects (beyond the always-banned
-    ``io``/``process``) no call may carry while the lock is held.
-    """
-
-    name: str  #: lock qname, e.g. ``repro.serve.engine.ServeEngine._lock``
-    guards: tuple[str, ...] = ()
-    forbid: tuple[str, ...] = ()
-    reason: str = ""
-
-
 @dataclass
 class ArchPolicy:
     """The parsed, validated architecture policy."""
@@ -195,15 +179,6 @@ class ArchPolicy:
     layers: list[Layer]
     waivers: list[Waiver] = field(default_factory=list)
     path: str = DEFAULT_POLICY
-    #: extra any-thread entry points for the concurrency verifier
-    #: (class qnames -> their public methods, or function qnames)
-    conc_entries: tuple[str, ...] = ()
-    #: public methods documented as externally serialized (scheduler
-    #: thread / sync mode only): qname -> reason; excluded from the
-    #: any-thread entry set
-    conc_serialized: dict[str, str] = field(default_factory=dict)
-    #: per-lock policies declared in ``[[lock]]`` tables
-    lock_policies: tuple[LockPolicy, ...] = ()
 
     def __post_init__(self) -> None:
         self._by_name = {layer.name: layer for layer in self.layers}
@@ -249,20 +224,6 @@ class ArchPolicy:
                         f"{self.path}: layer {layer.name!r} may only use "
                         f"lower layers, not {used!r} (the layer order plus "
                         f"uses-edges must form a DAG)")
-        for lp in self.lock_policies:
-            if not lp.name or not lp.reason:
-                raise PolicyError(
-                    f"{self.path}: every [[lock]] needs a name and a reason")
-            for eff in lp.forbid:
-                if eff not in EFFECTS:
-                    raise PolicyError(
-                        f"{self.path}: lock {lp.name!r} forbids unknown "
-                        f"effect {eff!r} (known: {', '.join(EFFECTS)})")
-        for name, reason in self.conc_serialized.items():
-            if not name or not reason:
-                raise PolicyError(
-                    f"{self.path}: every [[serialized]] needs a name and "
-                    f"a reason")
 
     def layer_of(self, module: str) -> Layer | None:
         """Longest-prefix layer for a dotted module (or symbol) name.
@@ -327,26 +288,11 @@ def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
             source=str(entry.get("from", "")),
             target=str(entry.get("to", "")),
         ))
-    conc_tbl = data.get("concurrency", {})
-    serialized: dict[str, str] = {}
-    for entry in data.get("serialized", []):
-        serialized[str(entry.get("name", ""))] = str(entry.get("reason", ""))
-    lock_policies = []
-    for entry in data.get("lock", []):
-        lock_policies.append(LockPolicy(
-            name=str(entry.get("name", "")),
-            guards=tuple(entry.get("guards", [])),
-            forbid=tuple(entry.get("forbid", [])),
-            reason=str(entry.get("reason", "")),
-        ))
     return ArchPolicy(
         root=root,
         layers=layers,
         waivers=waivers,
         path=str(p),
-        conc_entries=tuple(conc_tbl.get("entries", [])),
-        conc_serialized=serialized,
-        lock_policies=tuple(lock_policies),
     )
 
 

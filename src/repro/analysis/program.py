@@ -1,37 +1,32 @@
 """The program model: one parse, call graph and fixpoint per file set.
 
-Every whole-program consumer — the architecture rules RPR008-010, the
-kernel-contract check RPR012, the concurrency rules RPR014/016 and the
-``repro arch``/``races``/``graph check`` commands — works from the same
-:class:`Program`:
+Every whole-program consumer — the architecture rules RPR008-009, the
+kernel-contract check RPR012 and the ``repro arch``/``graph check``
+commands — works from the same :class:`Program`:
 
 * the parsed :class:`~repro.analysis.framework.ModuleContext` set;
 * the governing ``ARCHITECTURE.toml`` policy (``None`` without one);
 * one :class:`~repro.analysis.callgraph.CallGraph` over all contexts;
-* one :class:`~repro.analysis.effects.EffectAnalysis` fixpoint and one
-  :class:`~repro.analysis.concurrency.ConcurrencyAnalysis`, each built
+* one :class:`~repro.analysis.effects.EffectAnalysis` fixpoint, built
   on first use.
 
 :func:`program_for` caches the model on the first context object,
 keyed by :func:`run_state_key`, so every rule of one ``analyze_paths``
 run — and repeat runs over the unchanged tree (memoized ASTs) — share
 it.  A policy governs only the tree it sits at the root of:
-:meth:`Program.in_scope` is the filter RPR008-010 report through.
+:meth:`Program.in_scope` is the filter RPR008-009 report through.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .callgraph import ROOT_PACKAGE, CallGraph, build_callgraph
 from .effects import EffectAnalysis
 from .framework import AnalysisError, ModuleContext, parse_paths
 from .policy import DEFAULT_POLICY, ArchPolicy, load_policy
-
-if TYPE_CHECKING:
-    from .concurrency import ConcurrencyAnalysis
 
 _PROGRAM_ATTR = "_repro_program"
 
@@ -57,12 +52,6 @@ class Program:
     @cached_property
     def effects(self) -> EffectAnalysis:
         return EffectAnalysis(self.graph)
-
-    @cached_property
-    def concurrency(self) -> "ConcurrencyAnalysis":
-        from .concurrency import ConcurrencyAnalysis  # imports this module
-
-        return ConcurrencyAnalysis(self.graph, self.effects, self.policy)
 
     def in_scope(self, path: str) -> bool:
         """Whether the policy governs the analyzed file at ``path``."""

@@ -17,10 +17,10 @@ Subcommands:
 * ``arch``     — architecture policy tooling (``ARCHITECTURE.toml``):
   ``show`` the layer diagram, ``graph`` the call graph as JSON/DOT,
   ``effects`` the whole-program effect inference (``lint`` runs the
-  rules RPR008-010).
-* ``races``    — static concurrency verification (rules RPR014/016):
-  ``check`` lockset races / wait discipline plus the ``[concurrency]``
-  policy names, ``show`` the thread contexts and per-field verdicts.
+  rules RPR008-009).
+
+The serve layer's locking is not a static rule: the tier-1 test
+``tests/test_locksets.py`` checks it where it runs.
 
 ``run`` and ``dse`` accept ``--trace PATH`` to capture a per-kernel
 telemetry trace of the run: ``.jsonl`` writes the raw event log,
@@ -306,12 +306,7 @@ def _cmd_graph_check(args) -> int:
         GraphUnderCheck,
         run_kernel_contract_check,
     )
-    from .analysis.lint import (
-        LINT_EXIT_CLEAN,
-        LINT_EXIT_FINDINGS,
-        LINT_EXIT_INTERNAL,
-    )
-    from .analysis.policy import load_policy
+    from .analysis.lint import LINT_EXIT_CLEAN, LINT_EXIT_FINDINGS
     from .graph import (
         compile_graph,
         create_graph,
@@ -321,16 +316,11 @@ def _cmd_graph_check(args) -> int:
 
     register_defaults()
     names = [args.graph] if args.graph else graph_names()
-    try:
-        policy = load_policy(args.policy)
-    except ReproError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return LINT_EXIT_INTERNAL
     failed = 0
     graphs = []
     for name in names:
         try:
-            instance = compile_graph(create_graph(name), policy=policy)
+            instance = compile_graph(create_graph(name))
         except Exception as exc:  # a broken registry entry, whatever it raises
             print(f"FAIL {name}: {type(exc).__name__}: {exc}")
             failed += 1
@@ -396,18 +386,6 @@ def _cmd_arch(args) -> int:
         return commands.arch_effects(paths, prefix=args.prefix,
                                      policy_path=args.policy)
     raise AssertionError(f"unhandled arch command {command!r}")
-
-
-def _cmd_races(args) -> int:
-    from .analysis import commands
-
-    paths = args.paths or list(commands.DEFAULT_PATHS)
-    command = args.races_command or "check"
-    if command == "check":
-        return commands.races_check(paths)
-    if command == "show":
-        return commands.races_show(paths)
-    raise AssertionError(f"unhandled races command {command!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,24 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=_cmd_arch)
     p_arch.set_defaults(paths=[])
 
-    p_races = sub.add_parser(
-        "races", help="static concurrency verification (rules RPR014/016): "
-                      "lockset races, wait discipline"
-    )
-    races_sub = p_races.add_subparsers(dest="races_command")
-    races_common = {"nargs": "*", "default": [],
-                    "help": "files or directories (default: src/repro)"}
-    p_races_check = races_sub.add_parser(
-        "check", help="run RPR014/016 and validate the [concurrency] "
-                      "policy names (exit: 0 clean, 1 findings, 2 error)")
-    p_races_check.add_argument("paths", **races_common)
-    p_races_show = races_sub.add_parser(
-        "show", help="print thread contexts, locks and field verdicts")
-    p_races_show.add_argument("paths", **races_common)
-    for sp in (p_races, p_races_check, p_races_show):
-        sp.set_defaults(func=_cmd_races)
-    p_races.set_defaults(paths=[])
-
     p_graph = sub.add_parser(
         "graph", help="stage-graph pipelines: check, show"
     )
@@ -606,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "error)")
     p_g_check.add_argument("--graph", default="",
                            help="check only this registered graph")
-    p_g_check.add_argument("--policy", default="ARCHITECTURE.toml",
-                           help="architecture policy for effect budgets")
     p_g_check.set_defaults(func=_cmd_graph_check)
     p_g_show = graph_sub.add_parser(
         "show", help="print a graph's schedule, nodes, edges, taps")
@@ -617,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="repo-specific static analysis (rules RPR001-003, "
-                     "RPR005-010, RPR014 and RPR016)"
+                     "RPR005-009)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "

@@ -47,7 +47,7 @@ ports (:mod:`repro.graph`)::
                             describes the finest level
 
 **Effects** (:data:`EFFECTS`) are the vocabulary of layer budgets in
-``ARCHITECTURE.toml`` and of stage effect declarations.
+``ARCHITECTURE.toml``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TAG_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$")
 
 #: Effect vocabulary (the analyzer adds open-ended ``raises(T)``).
-EFFECTS = ("time", "rng", "io", "process", "global-write", "alloc")
+EFFECTS = ("time", "rng", "io", "process", "global-write")
 
 #: alias dtype token -> its canonical token (``ArraySpec.dtype``).
 _CANONICAL_DTYPE = {"b": "bool"}

@@ -16,10 +16,10 @@ so running a compiled graph can never fail for a *wiring* reason:
 5. the schedule is a *deterministic* topological order (Kahn's
    algorithm with lexicographic tie-breaking), identical across runs
    and interpreter sessions;
-6. every tap observes an existing node output;
-7. stage-declared effect budgets are checked against the owning layer's
-   ``forbid`` list in ``ARCHITECTURE.toml`` when a policy is supplied
-   (``repro graph check`` does; RPR008/009 enforce the same statically).
+6. every tap observes an existing node output.
+
+Effect budgets are not a compile-time property: RPR009 holds each
+layer, stage bodies included, to its ``forbid`` list statically.
 """
 
 from __future__ import annotations
@@ -193,47 +193,17 @@ def _check_taps(spec: GraphSpec, stages: dict[str, StageSpec]) -> None:
             )
 
 
-def _check_effects(spec: GraphSpec, stages: dict[str, StageSpec],
-                   policy) -> None:
-    for node, stage in stages.items():
-        if not stage.effects:
-            continue
-        layer = policy.layer_of(stage.run.__module__)
-        if layer is None:
-            continue  # policy only governs modules it covers
-        banned = sorted(set(stage.effects) & set(layer.forbid))
-        if banned:
-            raise GraphError(
-                f"graph {spec.name!r}: node {node!r} (stage "
-                f"{stage.name!r}, module {stage.run.__module__}) declares "
-                f"effects {banned} forbidden in layer {layer.name!r} "
-                f"({policy.path})"
-            )
-
-
-def compile_graph(
-    spec: GraphSpec,
-    policy=None,
-) -> PipelineInstance:
+def compile_graph(spec: GraphSpec) -> PipelineInstance:
     """Validate a graph spec and emit an executable pipeline instance.
-
-    Args:
-        spec: the declarative graph.
-        policy: a loaded :class:`~repro.analysis.policy.ArchPolicy`;
-            when given, stage-declared effects are validated against the
-            owning layer's forbid list.
 
     Raises:
         GraphError: any structural defect (unknown stage/node/port,
-            contract mismatch, unfed/double-fed input, cycle, bad tap,
-            forbidden declared effect).
+            contract mismatch, unfed/double-fed input, cycle, bad tap).
     """
     stages = _check_nodes(spec)
     _check_edges(spec, stages)
     order = _schedule(spec, stages)
     _check_taps(spec, stages)
-    if policy is not None:
-        _check_effects(spec, stages, policy)
     taps_by_node: dict[str, list[TapSpec]] = {}
     for tap in spec.taps:
         taps_by_node.setdefault(tap.node, []).append(tap)

@@ -9,9 +9,6 @@ a pipeline graph *without running it*:
 * **ports** — named inputs and outputs, each carrying a contract string
   (``"depth.map"``, ``"pyramid.vertices"``).  The compiler only wires an
   edge when the producer and consumer contracts are equal.
-* **effect budget** — the :data:`repro.contracts.EFFECTS` vocabulary the
-  stage admits to; the compiler cross-checks it against the owning
-  layer's ``forbid`` list in ``ARCHITECTURE.toml``.
 
 The registry itself follows the :class:`~repro.perf.KernelBackend`
 registry's write-once discipline: duplicate names are rejected, lookups
@@ -23,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..contracts import EFFECTS, ContractError, parse_port_contract
+from ..contracts import ContractError, parse_port_contract
 from ..errors import GraphError
 
 
@@ -103,8 +100,6 @@ class StageSpec:
             declared output port must appear in the returned dict.
         inputs: consumed ports (wired by graph edges).
         outputs: produced ports.
-        effects: declared effect budget (:data:`repro.contracts.EFFECTS`
-            vocabulary) the compiler validates against ARCHITECTURE.toml.
         workload_timed: record the stage's wall time into the frame
             workload (the four canonical kernel stages do; auxiliary
             stages like the GUI render only get a tracer span).
@@ -115,7 +110,6 @@ class StageSpec:
     run: Callable[[StageContext, dict], dict]
     inputs: tuple[Port, ...] = ()
     outputs: tuple[Port, ...] = ()
-    effects: frozenset = frozenset()
     workload_timed: bool = True
     description: str = ""
 
@@ -130,12 +124,6 @@ class StageSpec:
                     f"stage {self.name!r}: duplicate {direction} port "
                     f"names in {names}"
                 )
-        unknown = set(self.effects) - set(EFFECTS)
-        if unknown:
-            raise GraphError(
-                f"stage {self.name!r} declares unknown effects "
-                f"{sorted(unknown)}; vocabulary: {', '.join(EFFECTS)}"
-            )
 
     def input_port(self, name: str) -> Port | None:
         for port in self.inputs:

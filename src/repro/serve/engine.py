@@ -90,7 +90,9 @@ class ServeEngine:
         self._dropped_rate = RateWindow(clock=clock)
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
-        self._lock = threading.Lock()  # guards stats reads vs the loop
+        # Held for each whole scheduling round (see step()) and by every
+        # public reader; tests/test_locksets.py checks the guard at run time.
+        self._lock = threading.Lock()
 
     # -- session table -------------------------------------------------------
     @property
@@ -225,6 +227,12 @@ class ServeEngine:
         ``policy.frames_per_round`` frames, visiting sessions in
         creation order — the deterministic multiplexing the
         concurrent-vs-serial equivalence test pins down.
+
+        The whole round is one critical section under ``_lock``: the
+        transport drain, session opens (algorithm construction and
+        ``init``), every frame's ``process_once`` and every clock read
+        (ingress stamps, latencies, rate marks).  A ``stats()`` poll
+        therefore waits for the round in progress to finish.
         """
         # Lock order: _lock first, then the transport's _cond (taken in
         # drain_transport -> transport.poll).  No transport method may call

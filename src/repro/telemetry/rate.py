@@ -57,14 +57,12 @@ class RateWindow:
         # Owner-serialised state: Tracer.mark/rate hold Tracer._lock
         # around every call, the serve engine's private windows are only
         # touched by step()/stats() under ServeEngine._lock, and loadgen
-        # windows never leave the generating thread.
-        # guarded-by: owner -- every creator serialises access (see above)
+        # windows never leave the generating thread
+        # (tests/test_locksets.py checks the first two on the threaded
+        # engine).
         self._marks: deque[tuple[float, float]] = deque()
-        # guarded-by: owner -- every creator serialises access (see _marks)
         self._total = 0.0
-        # guarded-by: owner -- every creator serialises access (see _marks)
         self._count = 0
-        # guarded-by: owner -- every creator serialises access (see _marks)
         self._first_t: float | None = None
 
     @property

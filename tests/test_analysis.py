@@ -16,6 +16,7 @@ from repro.analysis.framework import (
     AnalysisError,
     analyze_paths,
     analyze_source,
+    parse_cached,
     rule_catalogue,
 )
 from repro.analysis.lint import run_lint
@@ -51,7 +52,6 @@ class TestFramework:
         assert set(catalogue) == {
             "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
             "RPR007", "RPR008", "RPR009",
-            "RPR014", "RPR016",
         }
         assert all(title for title in catalogue.values())
 
@@ -401,8 +401,8 @@ class TestProcessDisciplineChecker:
 
     def test_sync_primitives_stay_legal_below_module_scope(self):
         # class/function-scoped primitives are fine anywhere; only the
-        # module-scope-lock arm (TestModuleScopeLocks in
-        # test_concurrency.py) restricts where process-wide ones live
+        # module-scope-lock arm (TestModuleScopeLocks below) restricts
+        # where process-wide ones live
         src = (
             "import threading\n"
             "tls = threading.local()\n"
@@ -415,6 +415,54 @@ class TestProcessDisciplineChecker:
         )
         assert analyze_source(src, path="src/repro/telemetry/tracer.py",
                               select=["RPR006"]) == []
+
+
+class TestModuleScopeLocks:
+    def test_module_level_lock_flagged(self):
+        findings = analyze_source(
+            "import threading\n_LOCK = threading.Lock()\n",
+            path="src/repro/telemetry/gate.py", select=["RPR006"])
+        assert [f.rule_id for f in findings] == ["RPR006"]
+        assert "module-scope threading.Lock()" in findings[0].message
+
+    def test_module_level_event_flagged(self):
+        findings = analyze_source(
+            "import threading\nPACER = threading.Event()\n",
+            path="src/repro/perf/pace.py", select=["RPR006"])
+        assert [f.rule_id for f in findings] == ["RPR006"]
+
+    def test_lifecycle_modules_exempt(self):
+        src = "import threading\n_LOCK = threading.Lock()\n"
+        assert analyze_source(src, path="src/repro/serve/engine.py",
+                              select=["RPR006"]) == []
+        assert analyze_source(src, path="src/repro/jobs/pool.py",
+                              select=["RPR006"]) == []
+
+    def test_instance_lock_clean_anywhere(self):
+        src = ("import threading\n"
+               "class C:\n"
+               "    def __init__(self):\n"
+               "        self._lock = threading.Lock()\n")
+        assert analyze_source(src, path="src/repro/telemetry/gate.py",
+                              select=["RPR006"]) == []
+
+
+class TestParseCache:
+    def test_same_source_same_object(self):
+        src = "x = 1\n"
+        a = parse_cached(src, "cache_probe.py")
+        assert parse_cached(src, "cache_probe.py") is a
+
+    def test_changed_source_reparsed(self):
+        a = parse_cached("x = 1\n", "cache_probe2.py")
+        b = parse_cached("x = 2\n", "cache_probe2.py")
+        assert b is not a
+
+    def test_same_source_different_path_distinct(self):
+        src = "x = 3\n"
+        a = parse_cached(src, "cache_probe3.py")
+        b = parse_cached(src, "cache_probe4.py")
+        assert b is not a and b.path != a.path
 
 
 class TestDtypeDisciplineChecker:

@@ -236,8 +236,8 @@ class TestGraphCommands:
 
     ``graph check`` follows the lint exit-code contract: 0 clean, 1 on
     findings (a graph that fails to compile, or an RPR012 port/kernel
-    contract drift), 2 on an internal error (e.g. an unreadable policy
-    file).
+    contract drift), 2 on an internal error (e.g. a source tree the
+    analyzer cannot load).
     """
 
     def test_graph_check_clean(self, capsys):
@@ -317,10 +317,16 @@ class TestGraphCommands:
         assert main(["graph", "check", "--graph", "teapot"]) == 1
         assert "FAIL teapot" in capsys.readouterr().out
 
-    def test_graph_check_bad_policy_exits_2(self, capsys, tmp_path):
-        assert main(["graph", "check",
-                     "--policy", str(tmp_path / "nope.toml")]) == 2
-        assert "internal error" in capsys.readouterr().err
+    def test_graph_check_internal_error_exits_2(self, capsys, monkeypatch):
+        from repro.analysis import dataflow
+        from repro.analysis.framework import AnalysisError
+
+        def unloadable(paths):
+            raise AnalysisError(f"cannot parse {paths[0]}")
+
+        monkeypatch.setattr(dataflow, "load_program", unloadable)
+        assert main(["graph", "check"]) == 2
+        assert "graph check: internal error" in capsys.readouterr().out
 
     def test_graph_show(self, capsys):
         assert main(["graph", "show", "kfusion"]) == 0

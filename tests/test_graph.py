@@ -1,8 +1,7 @@
 """Unit tests for the stage-graph runtime (``repro.graph``).
 
 Covers the registry discipline, the compiler's structural validations
-(each with its named-entity error message), effect-budget checks
-against ARCHITECTURE.toml, failure semantics
+(each with its named-entity error message), failure semantics
 (:class:`~repro.errors.StageExecutionError` naming the stage), and
 stream taps (sampling cadence, span attributes, read-only samplers).
 """
@@ -10,7 +9,6 @@ stream taps (sampling cadence, span attributes, read-only samplers).
 import numpy as np
 import pytest
 
-from repro.analysis.policy import load_policy
 from repro.errors import GraphError, StageExecutionError
 from repro.graph import (
     Edge,
@@ -62,14 +60,6 @@ class TestPortAndStageSpec:
     def test_duplicate_port_names_rejected(self):
         with pytest.raises(GraphError, match="duplicate output port"):
             _spec("s", outputs=(Port("a", "x"), Port("a", "y")))
-
-    def test_unknown_effects_rejected(self):
-        with pytest.raises(GraphError, match="unknown effects"):
-            _spec("s", effects=frozenset({"teleport"}))
-
-    def test_known_effects_accepted(self):
-        spec = _spec("s", effects=frozenset({"alloc"}))
-        assert spec.effects == frozenset({"alloc"})
 
     def test_empty_name_rejected(self):
         with pytest.raises(GraphError, match="non-empty name"):
@@ -249,38 +239,6 @@ class TestDeterministicSchedule:
         assert instance.stage_names == [
             "preprocess", "track", "integrate", "raycast", "render",
         ]
-
-
-class TestEffectBudgets:
-    def _effectful_stage(self, scratch_registry, effects, module):
-        def run(ctx, inputs):
-            return {}
-        run.__module__ = module
-        register_stage(StageSpec(name="toy.fx", run=run,
-                                 effects=frozenset(effects)))
-        return GraphSpec(name="fx", nodes=(("fx", "toy.fx"),))
-
-    def test_forbidden_effect_rejected(self, scratch_registry):
-        # repro.kfusion.* sits in the kernels layer, which forbids io.
-        spec = self._effectful_stage(scratch_registry, {"io"},
-                                     "repro.kfusion.graphdef")
-        with pytest.raises(GraphError, match="forbidden in layer"):
-            compile_graph(spec, policy=load_policy("ARCHITECTURE.toml"))
-
-    def test_allowed_effect_accepted(self, scratch_registry):
-        spec = self._effectful_stage(scratch_registry, {"alloc"},
-                                     "repro.kfusion.graphdef")
-        compile_graph(spec, policy=load_policy("ARCHITECTURE.toml"))
-
-    def test_no_policy_no_check(self, scratch_registry):
-        spec = self._effectful_stage(scratch_registry, {"io"},
-                                     "repro.kfusion.graphdef")
-        compile_graph(spec)  # effects only validated when a policy is given
-
-    def test_production_graphs_pass_policy(self):
-        policy = load_policy("ARCHITECTURE.toml")
-        for name in ("kfusion", "icp_odometry"):
-            compile_graph(create_graph(name), policy=policy)
 
 
 class TestFailureSemantics:

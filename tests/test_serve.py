@@ -503,7 +503,8 @@ class _LockOrder:
         return _RecordingLock(inner, name, self)
 
     def acquiring(self, name: str) -> None:
-        if name == "_lock" and "_cond" in self.held():
+        if name == "ServeEngine._lock" and \
+                "InProcessTransport._cond" in self.held():
             self.violations.append(threading.current_thread().name)
             raise LockOrderError("ServeEngine._lock taken while holding "
                                  "InProcessTransport._cond")
@@ -545,8 +546,9 @@ class TestServeLockOrder:
         """One thread offers two sessions' messages; another steps the
         engine and polls stats() until every offered frame settled."""
         order = _LockOrder()
-        engine._lock = order.wrap(engine._lock, "_lock")
-        engine.transport._cond = order.wrap(engine.transport._cond, "_cond")
+        engine._lock = order.wrap(engine._lock, "ServeEngine._lock")
+        engine.transport._cond = order.wrap(engine.transport._cond,
+                                            "InProcessTransport._cond")
         errors: list[BaseException] = []
         offered = threading.Event()
 
