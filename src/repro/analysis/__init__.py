@@ -30,9 +30,6 @@ RPR007   dtype-discipline: no float64 temporaries in the code the
 RPR008   layer-discipline: imports/calls must point down the
          ``ARCHITECTURE.toml`` layer DAG, and every module must be
          covered by a layer
-RPR009   transitive-effect-discipline: whole-program effect inference
-         (call graph + fixpoint) holds each layer to its effect budget;
-         findings carry the full ``via a -> b -> c`` chain
 RPR012   kernel-contract-consistency: graph port contracts agree with
          the ``@contract`` declarations of the kernels each stage body
          calls (every registered backend, read live; dtype *kind*
@@ -42,16 +39,17 @@ RPR012   kernel-contract-consistency: graph port contracts agree with
 RPR012 runs against the *registered graph definitions* rather than
 per-file, so it lives in ``repro graph check`` (same exit-code contract,
 same ``# noqa`` handling) instead of ``repro lint``; see
-:mod:`repro.analysis.dataflow`.  The rules are the gates: no snapshot
-of inferred effects is committed.  The serve layer's locking is checked
-where it runs, by the tier-1 test ``tests/test_locksets.py`` (an
-Eraser-style lockset check over the threaded engine), not by a rule
-here.
+:mod:`repro.analysis.dataflow`.  The rules are the gates; no snapshot
+is committed.  Two properties are checked where they run, by tier-1
+tests, not by a rule here: the serve layer's locking
+(``tests/test_locksets.py``, an Eraser-style lockset check over the
+threaded engine) and the layers' effect budgets
+(``tests/test_effect_budgets.py``, an audit hook over the benchmarked
+frame paths).
 
-Every whole-program rule and command shares one parse, one call graph
-and one effect fixpoint per file set: the
-:class:`~repro.analysis.program.Program`.  The contract language the
-runtime uses (``@contract``, port contracts, the effect vocabulary)
+Every whole-program rule and command shares one parse and one call
+graph per file set: the :class:`~repro.analysis.program.Program`.  The
+contract language the runtime uses (``@contract``, port contracts)
 lives in :mod:`repro.contracts`, so importing the runtime never imports
 this package.
 
@@ -65,9 +63,9 @@ Programmatic use::
 
 Importing this package registers all checkers; the per-rule modules are
 :mod:`~repro.analysis.checkers` (RPR001/2/3/5/6/7) and
-:mod:`~repro.analysis.policy` (RPR008/9, backed by
-:mod:`~repro.analysis.callgraph` and :mod:`~repro.analysis.effects`).
+:mod:`~repro.analysis.policy` (RPR008, backed by
+:mod:`~repro.analysis.callgraph`).
 """
 
 from . import checkers as _checkers  # noqa: F401 (registers RPR001/2/3/5/6/7)
-from . import policy as _policy  # noqa: F401  (registers RPR008/9)
+from . import policy as _policy  # noqa: F401  (registers RPR008)

@@ -1,8 +1,8 @@
 """Project-wide call-graph construction from ASTs (no imports executed).
 
-The transitive rules (RPR008-RPR009, :mod:`repro.analysis.effects`) need
-to know *who calls whom* across the whole tree, not just what one file
-spells.  :func:`build_callgraph` turns the parsed
+The whole-program rules (RPR008 layer discipline, RPR012 kernel
+contracts) need to know *who calls whom* across the whole tree, not
+just what one file spells.  :func:`build_callgraph` turns the parsed
 :class:`~repro.analysis.framework.ModuleContext` set into a
 :class:`CallGraph`:
 
@@ -24,14 +24,13 @@ spells.  :func:`build_callgraph` turns the parsed
 * **honest failure** — calls the resolver cannot attribute (dynamic
   dispatch through registries, methods on parameters, ...) are recorded
   per-function in :attr:`FunctionNode.unresolved`; calls into
-  stdlib/third-party code land in :attr:`FunctionNode.external` so the
-  effect engine can match them against its intrinsic patterns.  Nothing
-  is silently dropped.
+  stdlib/third-party code land in :attr:`FunctionNode.external` (``repro
+  arch graph --granularity function`` prints both).  Nothing is
+  silently dropped.
 
 Module-level statements are attributed to a pseudo-function named
 ``<module>`` per module, so import-time calls (registry population,
-table precomputation) stay visible in exports without polluting the
-per-function budget checks.
+table precomputation) stay visible in exports and layer checks.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .framework import ModuleContext, dotted_name, param_names
 
@@ -99,7 +98,7 @@ class FunctionNode:
     lineno: int
     #: resolved first-party callees (qnames into :attr:`CallGraph.functions`)
     calls: set[str] = field(default_factory=set)
-    #: dotted stdlib/third-party calls, with sites (effect-seed matching)
+    #: dotted stdlib/third-party calls, with sites
     external: list[CallSite] = field(default_factory=list)
     #: calls we could not attribute — recorded, never dropped
     unresolved: list[CallSite] = field(default_factory=list)
@@ -262,14 +261,6 @@ class CallGraph:
         return None
 
     # -- derived views -------------------------------------------------------
-    def callers_of(self) -> dict[str, set[str]]:
-        """Reverse edge map: callee qname -> caller qnames."""
-        rev: dict[str, set[str]] = {q: set() for q in self.functions}
-        for qname, node in self.functions.items():
-            for callee in node.calls:
-                rev.setdefault(callee, set()).add(qname)
-        return rev
-
     def module_call_edges(self) -> set[tuple[str, str]]:
         """Distinct cross-module ``(caller_module, callee_module)`` pairs."""
         edges = set()
@@ -279,25 +270,6 @@ class CallGraph:
                 if target.module != node.module:
                     edges.add((node.module, target.module))
         return edges
-
-
-def solve_worklist(start: Iterable[str],
-                   visit: Callable[[str], Iterable[str]]) -> None:
-    """The one fixpoint driver of the whole-program analyses.
-
-    ``visit(node)`` updates the caller's state for ``node`` and returns
-    the nodes that must be visited again because of that update.  The
-    solver visits ``start`` first, then round by round every node the
-    previous round queued, each round in sorted order, until a round
-    queues nothing.  The fixed visiting order makes the derived effect
-    ``via`` chains deterministic.
-    """
-    pending = sorted(set(start))
-    while pending:
-        queued: set[str] = set()
-        for node in pending:
-            queued.update(visit(node))
-        pending = sorted(queued)
 
 
 def _package_of(module: str, is_package: bool) -> list[str]:

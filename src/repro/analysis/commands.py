@@ -2,9 +2,9 @@
 
 Thin, testable functions over one :class:`~repro.analysis.program.Program`,
 each with the lint exit-code contract (0 clean / 1 findings / 2 internal
-error).  ``arch show|graph|effects`` only print what the analysis
-inferred; the gates are the lint rules themselves (``repro lint`` runs
-RPR008-009).
+error).  ``arch show|graph`` only print the policy and what the
+analysis inferred; the gate is the lint rule itself (``repro lint``
+runs RPR008).
 """
 
 from __future__ import annotations
@@ -117,21 +117,4 @@ def arch_graph(paths: Sequence[str] = DEFAULT_PATHS,
     else:
         echo(json.dumps(graph_as_json(graph, granularity), indent=2,
                         sort_keys=True))
-    return LINT_EXIT_CLEAN
-
-
-@internal_errors("arch")
-def arch_effects(paths: Sequence[str] = DEFAULT_PATHS,
-                 prefix: str = "",
-                 policy_path: str = DEFAULT_POLICY,
-                 echo: Echo = print) -> int:
-    """Print the inferred effect sets (optionally filtered by prefix)."""
-    analysis = load_program(paths, load_policy(policy_path)).effects
-    shown = 0
-    for qname, effects in analysis.effect_sets().items():
-        if prefix and not qname.startswith(prefix):
-            continue
-        echo(f"{qname}: {', '.join(effects)}")
-        shown += 1
-    echo(f"({shown} function(s) with effects)")
     return LINT_EXIT_CLEAN

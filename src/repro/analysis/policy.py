@@ -1,4 +1,4 @@
-"""Architecture policy: layer DAG, effect budgets, and rules RPR008-009.
+"""Architecture policy: the layer DAG, effect budgets, and rule RPR008.
 
 The committed ``ARCHITECTURE.toml`` at the repository root declares the
 intended shape of the codebase:
@@ -9,22 +9,21 @@ intended shape of the codebase:
   own and *lower* layers only — unless it lists an explicit ``uses``
   set, which restricts it further (the layer order plus ``uses`` edges
   form the layer DAG).
-* per-layer ``forbid`` lists: effects (see
-  :mod:`repro.analysis.effects`) no function in the layer may carry,
-  directly or transitively.
-* ``[[waiver]]`` entries: reviewed exceptions, each with a ``reason``.
+* per-layer ``forbid`` lists: effects (:data:`EFFECTS`) no code of the
+  layer may cause on the driven frame paths.  They are checked where
+  they run, not here: the tier-1 test ``tests/test_effect_budgets.py``
+  drives the benchmarked frame paths and attributes each file, process,
+  print, global-RNG and module-global event to the layers on its call
+  stack.  Clock reads are no budget: RPR001 owns them in every layer.
+* ``[[waiver]]`` entries: reviewed exceptions, each with a ``reason``
+  (``rule = "RPR008"``: an import/call edge ``from`` -> ``to``;
+  ``rule = "effect-budget"``: an effect ``to`` caused inside the
+  function ``from``).
 
-Two project rules enforce the policy through the normal lint
-pipeline:
-
-* **RPR008 layer-discipline** — an import or resolved call edge from a
-  lower layer into a higher one (or a module no layer covers).
-* **RPR009 transitive-effect-discipline** — a function in a budgeted
-  layer carries a forbidden effect; the finding shows the full
-  ``via a -> b -> c`` call chain down to the concrete seed.
-
-Both only fire when an ``ARCHITECTURE.toml`` is present in the
-working directory, and only report on files inside that directory tree
+**RPR008 layer-discipline** reports an import or resolved call edge
+from a lower layer into a higher one (or a module no layer covers).  It
+only fires when an ``ARCHITECTURE.toml`` is present in the working
+directory, and only reports on files inside that directory tree
 (:meth:`~repro.analysis.program.Program.in_scope`) — a policy governs
 the tree it sits at the root of.
 """
@@ -35,7 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from ..contracts import EFFECTS
 from ..errors import ReproError
 from .callgraph import in_package
 from .findings import Finding
@@ -47,6 +45,9 @@ if TYPE_CHECKING:
 #: Committed policy file, looked up in the working directory.
 DEFAULT_POLICY = "ARCHITECTURE.toml"
 POLICY_VERSION = 1
+
+#: The vocabulary of the per-layer ``forbid`` budgets.
+EFFECTS = ("rng", "io", "process", "global-write")
 
 
 class PolicyError(ReproError):
@@ -167,8 +168,12 @@ class Layer:
 class Waiver:
     rule: str
     reason: str
-    source: str = ""  #: module prefix the edge starts from (RPR008)
-    target: str = ""  #: module/package prefix the edge lands in (RPR008)
+    #: RPR008: module prefix the edge starts from; effect-budget: the
+    #: function the waived effect happens inside
+    source: str = ""
+    #: RPR008: module/package prefix the edge lands in; effect-budget:
+    #: the waived effect
+    target: str = ""
 
 
 @dataclass
@@ -296,12 +301,14 @@ def load_policy(path: str | Path = DEFAULT_POLICY) -> ArchPolicy:
     )
 
 
-def _chain_text(chain: Sequence[str]) -> str:
-    return " -> ".join(chain)
+# -- RPR008 -----------------------------------------------------------------
+@register_checker
+class LayerDisciplineChecker(ProjectChecker):
+    """RPR008: module dependencies must respect the layer DAG; active
+    only under an ``ARCHITECTURE.toml``."""
 
-
-class _PolicyChecker(ProjectChecker):
-    """Base of RPR008-009: active only under an ``ARCHITECTURE.toml``."""
+    rule_id = "RPR008"
+    title = "layer-discipline: imports/calls must point down the layer DAG"
 
     def applies(self, contexts: Sequence[ModuleContext]) -> bool:
         return bool(contexts) and Path(DEFAULT_POLICY).is_file()
@@ -314,15 +321,6 @@ class _PolicyChecker(ProjectChecker):
         if program.policy is not None:
             yield from (f for f in self.check_program(program)
                         if program.in_scope(f.path))
-
-
-# -- RPR008 -----------------------------------------------------------------
-@register_checker
-class LayerDisciplineChecker(_PolicyChecker):
-    """RPR008: module dependencies must respect the layer DAG."""
-
-    rule_id = "RPR008"
-    title = "layer-discipline: imports/calls must point down the layer DAG"
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         policy, graph = program.policy, program.graph
@@ -376,60 +374,3 @@ class LayerDisciplineChecker(_PolicyChecker):
                               node.lineno, "calls into")
                 if f is not None:
                     yield f
-
-
-# -- RPR009 -----------------------------------------------------------------
-@register_checker
-class TransitiveEffectChecker(_PolicyChecker):
-    """RPR009: budgeted layers must not carry forbidden effects."""
-
-    rule_id = "RPR009"
-    title = "transitive-effect-discipline: layer effect budgets hold"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        policy, graph, analysis = (program.policy, program.graph,
-                                   program.effects)
-
-        # (layer, effect) -> candidate functions carrying it
-        candidates: dict[tuple[str, str], set[str]] = {}
-        for qname, info in analysis.info.items():
-            node = graph.functions[qname]
-            if qname.endswith(".<module>") or not program.in_scope(node.path):
-                continue  # not a budgeted entry point, or not governed
-            layer = policy.layer_of(node.module)
-            if layer is None or not layer.forbid:
-                continue
-            for effect in info.effects:
-                if effect in layer.forbid:
-                    candidates.setdefault(
-                        (layer.name, effect), set()).add(qname)
-
-        callers = graph.callers_of()
-        for (layer_name, effect), group in sorted(candidates.items()):
-            # report only the *outermost* carriers: candidates no other
-            # candidate (same layer+effect) calls — i.e. the entry points
-            # a reader of this layer actually hits.
-            outermost = sorted(
-                q for q in group
-                if not (callers.get(q, set()) & group)
-            )
-            if not outermost:
-                # every candidate sits inside a call cycle: pick a
-                # deterministic representative rather than staying silent
-                outermost = [min(group)]
-            for qname in outermost:
-                if policy.waived(self.rule_id, qname, effect):
-                    continue
-                node = graph.functions[qname]
-                chain = analysis.effect_chain(qname, effect)
-                seed = analysis.seed_of(qname, effect)
-                seed_txt = f" (seed: {seed.call})" if seed else ""
-                how = (f"via {_chain_text(chain)}" if len(chain) > 1
-                       else "intrinsically")
-                yield Finding(
-                    path=node.path, line=node.lineno, col=1,
-                    rule_id=self.rule_id,
-                    message=(f"function {qname} in layer {layer_name!r} "
-                             f"carries forbidden effect {effect!r} "
-                             f"{how}{seed_txt}"),
-                )

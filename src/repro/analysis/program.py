@@ -1,30 +1,26 @@
-"""The program model: one parse, call graph and fixpoint per file set.
+"""The program model: one parse and one call graph per file set.
 
-Every whole-program consumer — the architecture rules RPR008-009, the
+Every whole-program consumer — the layer rule RPR008, the
 kernel-contract check RPR012 and the ``repro arch``/``graph check``
 commands — works from the same :class:`Program`:
 
 * the parsed :class:`~repro.analysis.framework.ModuleContext` set;
 * the governing ``ARCHITECTURE.toml`` policy (``None`` without one);
-* one :class:`~repro.analysis.callgraph.CallGraph` over all contexts;
-* one :class:`~repro.analysis.effects.EffectAnalysis` fixpoint, built
-  on first use.
+* one :class:`~repro.analysis.callgraph.CallGraph` over all contexts.
 
 :func:`program_for` caches the model on the first context object,
 keyed by :func:`run_state_key`, so every rule of one ``analyze_paths``
 run — and repeat runs over the unchanged tree (memoized ASTs) — share
 it.  A policy governs only the tree it sits at the root of:
-:meth:`Program.in_scope` is the filter RPR008-009 report through.
+:meth:`Program.in_scope` is the filter RPR008 reports through.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 from .callgraph import ROOT_PACKAGE, CallGraph, build_callgraph
-from .effects import EffectAnalysis
 from .framework import AnalysisError, ModuleContext, parse_paths
 from .policy import DEFAULT_POLICY, ArchPolicy, load_policy
 
@@ -48,10 +44,6 @@ class Program:
             root = Path(policy.path).resolve().parent
             self._scope = {ctx.path for ctx in self.contexts
                            if root in Path(ctx.path).resolve().parents}
-
-    @cached_property
-    def effects(self) -> EffectAnalysis:
-        return EffectAnalysis(self.graph)
 
     def in_scope(self, path: str) -> bool:
         """Whether the policy governs the analyzed file at ``path``."""

@@ -15,12 +15,12 @@ Subcommands:
   against the kernels' ``@contract``s (RPR012; same 0/1/2 exit contract
   as ``lint``), ``show`` prints a graph's schedule and edges.
 * ``arch``     — architecture policy tooling (``ARCHITECTURE.toml``):
-  ``show`` the layer diagram, ``graph`` the call graph as JSON/DOT,
-  ``effects`` the whole-program effect inference (``lint`` runs the
-  rules RPR008-009).
+  ``show`` the layer diagram, ``graph`` the call graph as JSON/DOT
+  (``lint`` runs the layer rule RPR008).
 
-The serve layer's locking is not a static rule: the tier-1 test
-``tests/test_locksets.py`` checks it where it runs.
+The serve layer's locking and the layers' effect budgets are not
+static rules: the tier-1 tests ``tests/test_locksets.py`` and
+``tests/test_effect_budgets.py`` check them where they run.
 
 ``run`` and ``dse`` accept ``--trace PATH`` to capture a per-kernel
 telemetry trace of the run: ``.jsonl`` writes the raw event log,
@@ -382,9 +382,6 @@ def _cmd_arch(args) -> int:
         return commands.arch_graph(paths, output_format=args.format,
                                    granularity=args.granularity,
                                    policy_path=args.policy)
-    if command == "effects":
-        return commands.arch_effects(paths, prefix=args.prefix,
-                                     policy_path=args.policy)
     raise AssertionError(f"unhandled arch command {command!r}")
 
 
@@ -527,29 +524,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_be.set_defaults(func=_cmd_backends)
 
     p_arch = sub.add_parser(
-        "arch", help="architecture policy: layers, call graph, effects"
+        "arch", help="architecture policy: layers, call graph"
     )
     arch_sub = p_arch.add_subparsers(dest="arch_command")
-    arch_common = {"nargs": "*", "default": [],
-                   "help": "files or directories (default: src/repro)"}
 
     p_arch_show = arch_sub.add_parser(
         "show", help="print the layer diagram with effect budgets")
     p_arch_graph = arch_sub.add_parser(
         "graph", help="export the call graph")
-    p_arch_graph.add_argument("paths", **arch_common)
+    p_arch_graph.add_argument(
+        "paths", nargs="*", default=[],
+        help="files or directories (default: src/repro)")
     p_arch_graph.add_argument("--format", choices=("json", "dot"),
                               default="json")
     p_arch_graph.add_argument("--granularity",
                               choices=("module", "function"),
                               default="module")
-    p_arch_eff = arch_sub.add_parser(
-        "effects", help="print inferred per-function effect sets")
-    p_arch_eff.add_argument("paths", **arch_common)
-    p_arch_eff.add_argument("--prefix", default="",
-                            help="only functions whose qualified name "
-                                 "starts with this prefix")
-    for sp in (p_arch, p_arch_show, p_arch_graph, p_arch_eff):
+    for sp in (p_arch, p_arch_show, p_arch_graph):
         sp.add_argument("--policy", default="ARCHITECTURE.toml",
                         help="architecture policy file")
         sp.set_defaults(func=_cmd_arch)
@@ -575,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint", help="repo-specific static analysis (rules RPR001-003, "
-                     "RPR005-009)"
+                     "RPR005-008)"
     )
     p_lint.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyse "

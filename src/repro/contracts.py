@@ -1,4 +1,4 @@
-"""The runtime contract language: array contracts, port contracts, effects.
+"""The runtime contract language: array contracts and port contracts.
 
 Kernels, the stage graph and the static analyzer all speak this one
 vocabulary; it lives outside :mod:`repro.analysis` so the runtime never
@@ -45,9 +45,6 @@ ports (:mod:`repro.graph`)::
     tag(H,W:f32)            an array of that shape/dtype
     tag([H,W,3:f32])        a pyramid (list of arrays); the spec
                             describes the finest level
-
-**Effects** (:data:`EFFECTS`) are the vocabulary of layer budgets in
-``ARCHITECTURE.toml``.
 """
 
 from __future__ import annotations
@@ -86,9 +83,6 @@ _COMPATIBLE = {
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 _TAG_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*$")
-
-#: Effect vocabulary (the analyzer adds open-ended ``raises(T)``).
-EFFECTS = ("time", "rng", "io", "process", "global-write")
 
 #: alias dtype token -> its canonical token (``ArraySpec.dtype``).
 _CANONICAL_DTYPE = {"b": "bool"}

@@ -70,9 +70,9 @@ class GraphError(ReproError):
 
     Raised by :mod:`repro.graph` when a pipeline graph names an
     unregistered stage, wires contract-mismatched ports, leaves an input
-    unfed (or feeds it twice), contains a cycle, or declares an effect
-    budget its layer forbids.  Always raised at *compile* time — a graph
-    that compiled never raises this while running.
+    unfed (or feeds it twice), or contains a cycle.  Always raised at
+    *compile* time — a graph that compiled never raises this while
+    running.
     """
 
 

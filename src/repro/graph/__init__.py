@@ -4,13 +4,12 @@
 registered stages, the way SLAMBench2 makes algorithms pluggable behind
 a common stage API:
 
-* :mod:`~repro.graph.stage` — stage specs (ports + contracts, effect
-  budgets) and the write-once stage registry;
+* :mod:`~repro.graph.stage` — stage specs (ports + contracts, the
+  body) and the write-once stage registry;
 * :mod:`~repro.graph.spec` — declarative graphs (nodes, edges, stream
   taps) and the graph-definition registry;
 * :mod:`~repro.graph.compiler` — the runtime compiler: topology,
-  contract and cycle validation, deterministic scheduling, effect-budget
-  checks against ``ARCHITECTURE.toml``;
+  contract and cycle validation, deterministic scheduling;
 * :mod:`~repro.graph.instance` — the compiled, executable pipeline;
 * :mod:`~repro.graph.taps` — stream-tap samplers (intermediate frames
   -> telemetry spans).

@@ -18,8 +18,10 @@ so running a compiled graph can never fail for a *wiring* reason:
    and interpreter sessions;
 6. every tap observes an existing node output.
 
-Effect budgets are not a compile-time property: RPR009 holds each
-layer, stage bodies included, to its ``forbid`` list statically.
+Effect budgets are not a compile-time property: the tier-1 test
+``tests/test_effect_budgets.py`` holds each layer, stage bodies
+included, to its ``forbid`` list in ``ARCHITECTURE.toml`` while the
+compiled graphs run.
 """
 
 from __future__ import annotations

@@ -107,7 +107,6 @@ def register_graph(name: str, factory: Callable[..., GraphSpec]) -> None:
     """Register a graph-definition factory under ``name``."""
     if name in _GRAPHS:
         raise GraphError(f"graph {name!r} already registered")
-    # effect-ok: import-time write-once registry (duplicates rejected above)
     _GRAPHS[name] = factory
 
 

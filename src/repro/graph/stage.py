@@ -145,7 +145,6 @@ def register_stage(spec: StageSpec) -> StageSpec:
     """Add a stage to the registry (unique names enforced)."""
     if spec.name in _STAGES:
         raise GraphError(f"stage {spec.name!r} already registered")
-    # effect-ok: import-time write-once registry (duplicates rejected above)
     _STAGES[spec.name] = spec
     return spec
 

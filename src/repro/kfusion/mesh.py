@@ -83,7 +83,6 @@ class TriangleMesh:
 
     def save_obj(self, path: str, comment: str = "") -> None:
         """Write the mesh as a Wavefront OBJ file (1-based indices)."""
-        # effect-ok: offline mesh export utility, never on the frame path
         with open(path, "w") as f:
             if comment:
                 f.write(f"# {comment}\n")
@@ -97,7 +96,6 @@ def load_obj(path: str) -> TriangleMesh:
     """Read a (vertices + triangular faces only) OBJ file."""
     vertices, triangles = [], []
     try:
-        # effect-ok: offline mesh import utility, never on the frame path
         with open(path) as f:
             for line_no, line in enumerate(f, 1):
                 parts = line.split()

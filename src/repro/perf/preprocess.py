@@ -45,7 +45,6 @@ def spatial_weight_table(radius: int = BILATERAL_RADIUS,
         table = np.exp(-sq / np.float32(2.0 * sigma_space * sigma_space))
         table.flags.writeable = False
         # (entries are immutable and identical for equal keys: replay-safe)
-        # effect-ok: bounded memo cache keyed by (radius, sigma)
         _SPATIAL_TABLES[key] = table
     return table
 

@@ -85,7 +85,6 @@ def register_kernel_backend(backend: KernelBackend) -> None:
     """Add a backend to the registry (unique names enforced)."""
     if backend.name in _BACKENDS:
         raise PerfError(f"kernel backend {backend.name!r} already registered")
-    # effect-ok: import-time write-once registry (duplicates rejected above)
     _BACKENDS[backend.name] = backend
 
 

@@ -51,7 +51,7 @@ class TestFramework:
         catalogue = rule_catalogue()
         assert set(catalogue) == {
             "RPR001", "RPR002", "RPR003", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009",
+            "RPR007", "RPR008",
         }
         assert all(title for title in catalogue.values())
 

@@ -1,11 +1,11 @@
-"""Tests for the whole-program effect engine and architecture rules.
+"""Tests for the call graph and the architecture policy.
 
-Covers the call graph (repro.analysis.callgraph), the intrinsic effect
-seeds and transitive fixpoint (repro.analysis.effects), the policy rules
-RPR008/RPR009 (repro.analysis.policy) with true-positive /
-false-positive guard pairs, the ``repro arch`` commands and the
-``repro lint`` exit-code contract — plus the check that the repo itself
-is clean under the committed ARCHITECTURE.toml.
+Covers the call graph (repro.analysis.callgraph), the layer rule RPR008
+(repro.analysis.policy) with true-positive / false-positive guard
+pairs, the ``repro arch`` commands and the ``repro lint`` exit-code
+contract — plus the check that the repo itself is clean under the
+committed ARCHITECTURE.toml.  The layers' effect budgets are checked at
+run time, in tests/test_effect_budgets.py.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro.analysis.callgraph import build_callgraph, module_name_for
 from repro.analysis.commands import arch_graph, arch_show, graph_as_json
-from repro.analysis.effects import EffectAnalysis
 from repro.analysis.framework import ModuleContext, analyze_paths
 from repro.analysis.lint import (
     LINT_EXIT_CLEAN,
@@ -27,7 +26,7 @@ from repro.analysis.lint import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 REPO_SRC = REPO_ROOT / "src" / "repro"
 
-ARCH_RULES = ["RPR008", "RPR009"]
+ARCH_RULES = ["RPR008"]
 
 
 def ctx(path, src):
@@ -39,11 +38,6 @@ def graph_of(*mods):
     return build_callgraph(
         [ctx(f"/scratch/repro/{rel}", src) for rel, src in mods]
     )
-
-
-def effects_of(src, qname="repro.m.f", rel="m.py"):
-    analysis = EffectAnalysis(graph_of((rel, src)))
-    return analysis.info[qname].effects
 
 
 class TestModuleNaming:
@@ -116,88 +110,6 @@ class TestCallGraph:
         assert g.functions["repro.a.<module>"].calls == {"repro.a.f"}
 
 
-class TestEffectSeeds:
-    def test_time_seed(self):
-        assert "time" in effects_of(
-            "import time\ndef f():\n    return time.perf_counter()\n")
-
-    def test_rng_seed_numpy_and_stdlib(self):
-        assert "rng" in effects_of(
-            "import numpy as np\ndef f():\n    return np.random.rand(3)\n")
-        assert "rng" in effects_of(
-            "import random\ndef f():\n    return random.random()\n")
-
-    def test_io_seed(self):
-        assert "io" in effects_of(
-            "def f(p):\n    fh = open(p)\n    return fh\n")
-
-    def test_process_seed(self):
-        assert "process" in effects_of(
-            "import subprocess\ndef f():\n"
-            "    subprocess.run(['true'])\n")
-
-    def test_global_write_seed(self):
-        assert "global-write" in effects_of(
-            "CACHE = {}\ndef f(k, v):\n    CACHE[k] = v\n")
-
-    def test_local_rebind_is_not_global_write(self):
-        assert "global-write" not in effects_of(
-            "X = 1\ndef f():\n    X = 2\n    return X\n")
-
-    def test_raises_seed_carries_type(self):
-        assert "raises(ValueError)" in effects_of(
-            "def f():\n    raise ValueError('x')\n")
-
-    def test_effect_ok_waiver_on_seed_line(self):
-        assert "io" not in effects_of(
-            "def f(p):\n"
-            "    return open(p)  # effect-ok: test fixture\n")
-
-    def test_effect_ok_waiver_on_line_above(self):
-        assert "io" not in effects_of(
-            "def f(p):\n"
-            "    # effect-ok: test fixture\n"
-            "    return open(p)\n")
-
-
-class TestFixpoint:
-    def test_three_module_cycle_converges(self):
-        g = graph_of(
-            ("a.py", "from . import b\ndef f():\n    return b.g()\n"),
-            ("b.py", "from . import c\ndef g():\n    return c.h()\n"),
-            ("c.py", "import time\nfrom . import a\n"
-                     "def h():\n    a.f()\n"
-                     "    return time.monotonic()\n"),
-        )
-        analysis = EffectAnalysis(g)
-        for q in ("repro.a.f", "repro.b.g", "repro.c.h"):
-            assert "time" in analysis.info[q].effects
-        chain = analysis.effect_chain("repro.a.f", "time")
-        assert chain == ["repro.a.f", "repro.b.g", "repro.c.h"]
-        assert analysis.seed_of("repro.a.f", "time").call == "time.monotonic"
-
-    def test_absorb_stops_at_owner_boundary(self):
-        g = graph_of(
-            ("telemetry/clock.py", "import time\ndef now():\n"
-                                   "    return time.perf_counter()\n"),
-            ("use.py", "from .telemetry import clock\ndef f():\n"
-                       "    return clock.now()\n"),
-        )
-        analysis = EffectAnalysis(g)
-        assert "time" in analysis.info["repro.telemetry.clock.now"].effects
-        assert "time" not in analysis.info["repro.use.f"].effects
-
-    def test_raises_never_absorbed(self):
-        g = graph_of(
-            ("telemetry/clock.py", "def now():\n"
-                                   "    raise RuntimeError('no clock')\n"),
-            ("use.py", "from .telemetry import clock\ndef f():\n"
-                       "    return clock.now()\n"),
-        )
-        analysis = EffectAnalysis(g)
-        assert "raises(RuntimeError)" in analysis.info["repro.use.f"].effects
-
-
 BASE_POLICY = """\
 version = 1
 root = "repro"
@@ -205,7 +117,7 @@ root = "repro"
 [[layer]]
 name = "kernels"
 packages = ["repro.kern"]
-forbid = ["time"]
+forbid = ["io"]
 
 [[layer]]
 name = "top"
@@ -267,52 +179,6 @@ class TestLayerDiscipline:
             "top.py": "def g():\n    return 1\n",
         })
         assert arch_findings(monkeypatch, root, ["RPR008"]) == []
-
-
-class TestTransitiveEffectDiscipline:
-    DEEP_KERNEL = (
-        "import time\n"
-        "def entry():\n"
-        "    return _a()\n"
-        "def _a():\n"
-        "    return _b()\n"
-        "def _b():\n"
-        "    return _c()\n"
-        "def _c():\n"
-        "    return time.time()\n"
-    )
-
-    def test_seed_three_levels_down_reported_at_kernel_entry(
-            self, tmp_path, monkeypatch):
-        # The acceptance case: a time.time() three calls below the
-        # kernel entry point must surface at the entry point, with the
-        # full via chain and the concrete seed.
-        root = write_tree(tmp_path, BASE_POLICY,
-                          {"kern.py": self.DEEP_KERNEL})
-        findings = arch_findings(monkeypatch, root, ["RPR009"])
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.line == 2  # def entry()
-        assert "repro.kern.entry" in f.message
-        assert ("via repro.kern.entry -> repro.kern._a -> "
-                "repro.kern._b -> repro.kern._c") in f.message
-        assert "(seed: time.time)" in f.message
-
-    def test_same_code_in_unbudgeted_layer_clean(
-            self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, BASE_POLICY,
-                          {"top.py": self.DEEP_KERNEL})
-        assert arch_findings(monkeypatch, root, ["RPR009"]) == []
-
-    def test_intrinsic_seed_reported_without_chain(
-            self, tmp_path, monkeypatch):
-        root = write_tree(tmp_path, BASE_POLICY, {
-            "kern.py": "import time\ndef f():\n"
-                       "    return time.time()\n",
-        })
-        findings = arch_findings(monkeypatch, root, ["RPR009"])
-        assert len(findings) == 1
-        assert "intrinsically" in findings[0].message
 
 
 class TestLintExitContract:
@@ -387,29 +253,22 @@ class TestPolicyParser:
 
 
 class TestProgramModel:
-    def test_one_lint_run_builds_graph_and_fixpoint_once(self, monkeypatch):
-        from repro.analysis import callgraph, effects, framework
+    def test_one_lint_run_builds_the_call_graph_once(self, monkeypatch):
+        from repro.analysis import callgraph, framework
 
         monkeypatch.chdir(REPO_ROOT)
         # a cold run: fresh contexts carry no cached program model
         monkeypatch.setattr(framework, "_AST_CACHE", {})
-        counts = {"graph": 0, "fixpoint": 0}
+        builds = []
         init = callgraph.CallGraph.__init__
-        propagate = effects.EffectAnalysis._propagate
 
         def counting_init(self, *args, **kwargs):
-            counts["graph"] += 1
+            builds.append(1)
             init(self, *args, **kwargs)
 
-        def counting_propagate(self):
-            counts["fixpoint"] += 1
-            propagate(self)
-
         monkeypatch.setattr(callgraph.CallGraph, "__init__", counting_init)
-        monkeypatch.setattr(effects.EffectAnalysis, "_propagate",
-                            counting_propagate)
         analyze_paths(["src/repro"])
-        assert counts == {"graph": 1, "fixpoint": 1}
+        assert len(builds) == 1
 
 
 class TestRepoIsClean:
